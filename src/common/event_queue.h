@@ -1,9 +1,9 @@
 #ifndef ADS_COMMON_EVENT_QUEUE_H_
 #define ADS_COMMON_EVENT_QUEUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace ads::common {
@@ -11,9 +11,17 @@ namespace ads::common {
 /// Simulated time, in seconds since the start of the simulation.
 using SimTime = double;
 
-/// Discrete-event simulation kernel shared by the infrastructure and engine
-/// simulators. Events are (time, sequence, callback) tuples; ties on time
-/// break by insertion order so simulations are deterministic.
+/// Discrete-event simulation kernel shared by the infrastructure, engine,
+/// serving and fleet simulators. Events are (time, sequence, callback)
+/// tuples; ties on time break by insertion order so simulations are
+/// deterministic.
+///
+/// The heap holds only small {when, seq, slot} entries; each callback sits
+/// in a slab slot until its event pops, when it is moved out (never
+/// copied) and its slot freed before it runs. A callback that captures a
+/// request or a whole batch is therefore built once and moved, and the
+/// running callback may schedule new events — reusing its own slot —
+/// without invalidating itself.
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime)>;
@@ -36,13 +44,13 @@ class EventQueue {
   size_t pending() const { return heap_.size(); }
 
  private:
-  struct Event {
+  struct Entry {
     SimTime when;
     uint64_t seq;
-    Callback cb;
+    size_t slot;  // index into slots_
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
@@ -50,7 +58,10 @@ class EventQueue {
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  /// Min-heap on (when, seq) under Later.
+  std::vector<Entry> heap_;
+  std::vector<Callback> slots_;
+  std::vector<size_t> free_slots_;
 };
 
 /// Converts hours to simulation seconds.

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -47,10 +46,7 @@ void ThreadPool::Schedule(std::function<void()> task) {
   if (workers_.empty() || InWorker()) {
     // Inline mode, or a worker scheduling onto its own pool (running
     // inline avoids deadlock when every worker blocks on subtasks).
-    ++active_;
     task();
-    --active_;
-    ++executed_;
     return;
   }
   {
@@ -72,10 +68,7 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    ++active_;
-    task();  // packaged_task captures exceptions into the future
-    --active_;
-    ++executed_;
+    task();  // counts itself; packaged_task captures exceptions
   }
   g_current_pool = nullptr;
 }
@@ -109,7 +102,11 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   }
   size_t num_chunks = (end - begin + grain - 1) / grain;
   std::vector<std::exception_ptr> errors(num_chunks);
-  std::atomic<size_t> remaining(num_chunks);
+  // Completion handshake. `remaining` is guarded by done_mu, and a chunk
+  // decrements and notifies under it: the caller cannot observe zero, and
+  // return (destroying these locals), until the last chunk has released
+  // done_mu, after which no chunk touches this frame again.
+  size_t remaining = num_chunks;
   std::mutex done_mu;
   std::condition_variable done_cv;
   {
@@ -118,21 +115,22 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
       size_t cb = begin + c * grain;
       size_t ce = std::min(end, cb + grain);
       queue_.push_back([&, c, cb, ce]() {
-        try {
-          fn(cb, ce);
-        } catch (...) {
-          errors[c] = std::current_exception();
+        {
+          TaskScope scope(this);
+          try {
+            fn(cb, ce);
+          } catch (...) {
+            errors[c] = std::current_exception();
+          }
         }
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> done_lock(done_mu);
-          done_cv.notify_all();
-        }
+        std::lock_guard<std::mutex> done_lock(done_mu);
+        if (--remaining == 0) done_cv.notify_all();
       });
     }
   }
   work_available_.notify_all();
   std::unique_lock<std::mutex> done_lock(done_mu);
-  done_cv.wait(done_lock, [&]() { return remaining.load() == 0; });
+  done_cv.wait(done_lock, [&]() { return remaining == 0; });
   for (auto& e : errors) {
     if (e) std::rethrow_exception(e);  // first failing chunk wins
   }

@@ -61,8 +61,13 @@ class ThreadPool {
   template <typename F>
   auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    // The scope closes (the task counts as executed) before packaged_task
+    // publishes the result, so Stats() after future::get() includes it.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(fn)]() mutable -> R {
+          TaskScope scope(this);
+          return fn();
+        });
     std::future<R> future = task->get_future();
     Schedule([task]() { (*task)(); });
     return future;
@@ -82,9 +87,10 @@ class ThreadPool {
   size_t worker_count() const { return workers_.size(); }
 
   /// Load snapshot (queue depth, active workers, tasks executed) for the
-  /// serving runtime's gauge sampler and other monitors. Queue depth and
-  /// active count are read together under the queue lock; `executed` is a
-  /// monotonic counter.
+  /// serving runtime's gauge sampler and other monitors. `executed` is a
+  /// monotonic counter. A task's bookkeeping completes before its
+  /// completion is visible, so a snapshot taken after `future::get()` or
+  /// `ParallelFor` returns counts those tasks as executed, not active.
   ThreadPoolStats Stats() const;
 
   /// True when called from one of this pool's worker threads.
@@ -98,6 +104,23 @@ class ThreadPool {
   static ThreadPool& Serial();
 
  private:
+  /// Marks one queued or inline-scheduled task active for its lifetime and
+  /// executed at its end. The task opens one around its body and closes it
+  /// before signalling its completion.
+  class TaskScope {
+   public:
+    explicit TaskScope(ThreadPool* pool) : pool_(pool) { ++pool_->active_; }
+    ~TaskScope() {
+      --pool_->active_;
+      ++pool_->executed_;
+    }
+    TaskScope(const TaskScope&) = delete;
+    TaskScope& operator=(const TaskScope&) = delete;
+
+   private:
+    ThreadPool* pool_;
+  };
+
   void Schedule(std::function<void()> task);
   void WorkerLoop();
 

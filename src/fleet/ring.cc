@@ -1,26 +1,32 @@
 #include "fleet/ring.h"
 
 #include <algorithm>
+#include <charconv>
+#include <initializer_list>
 
 #include "common/logging.h"
 
 namespace ads::fleet {
 
-HashRing::HashRing(RingOptions options) : options_(options) {
-  ADS_CHECK(options_.vnodes_per_shard >= 1) << "ring needs at least 1 vnode";
-}
+namespace {
 
-uint64_t HashRing::HashKey(uint64_t seed, const std::string& key) {
-  // FNV-1a over the seed bytes then the key bytes: cheap, stable, and
-  // platform-independent (the same idiom as the autonomy tenant slice).
+/// FNV-1a over the seed bytes then each part's bytes in order — cheap,
+/// stable and platform-independent (the same idiom as the autonomy tenant
+/// slice) — finished with the murmur3 fmix64 finalizer. Hashing the parts
+/// in sequence equals hashing their concatenation.
+uint64_t HashParts(uint64_t seed,
+                   std::initializer_list<std::string_view> parts) {
+  constexpr uint64_t kFnvPrime = 1099511628211ull;
   uint64_t h = 14695981039346656037ull;
   for (int shift = 0; shift < 64; shift += 8) {
     h ^= (seed >> shift) & 0xffull;
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
-  for (char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+  for (std::string_view part : parts) {
+    for (char c : part) {
+      h ^= static_cast<unsigned char>(c);
+      h *= kFnvPrime;
+    }
   }
   // Raw FNV-1a has no avalanche on the tail bytes: keys that differ only
   // in a trailing counter ("tenant-0".."tenant-39") land within a few
@@ -32,6 +38,27 @@ uint64_t HashRing::HashKey(uint64_t seed, const std::string& key) {
   h *= 0xc4ceb9fe1a85ec53ull;
   h ^= h >> 33;
   return h;
+}
+
+}  // namespace
+
+HashRing::HashRing(RingOptions options) : options_(options) {
+  ADS_CHECK(options_.vnodes_per_shard >= 1) << "ring needs at least 1 vnode";
+}
+
+uint64_t HashRing::HashKey(uint64_t seed, std::string_view key) {
+  return HashParts(seed, {key});
+}
+
+uint64_t HashRing::HashKey(uint64_t seed, std::string_view tenant,
+                           uint64_t id) {
+  char digits[20];  // 2^64 - 1 has 20 decimal digits
+  const std::to_chars_result printed =
+      std::to_chars(digits, digits + sizeof(digits), id);
+  return HashParts(seed,
+                   {tenant, "#",
+                    std::string_view(digits, static_cast<size_t>(
+                                                 printed.ptr - digits))});
 }
 
 void HashRing::AddShard(ShardId shard) {
@@ -58,26 +85,26 @@ std::vector<ShardId> HashRing::Shards() const {
   return std::vector<ShardId>(shards_.begin(), shards_.end());
 }
 
-ShardId HashRing::ShardFor(const std::string& tenant) const {
+size_t HashRing::FirstAtOrAfter(uint64_t point) const {
   ADS_CHECK(!ring_.empty()) << "empty hash ring";
-  const uint64_t point = HashKey(options_.seed, tenant);
   auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), std::make_pair(point, ShardId(0)),
-      [](const std::pair<uint64_t, ShardId>& a,
-         const std::pair<uint64_t, ShardId>& b) { return a.first < b.first; });
-  if (it == ring_.end()) it = ring_.begin();  // wrap
-  return it->second;
+      ring_.begin(), ring_.end(), point,
+      [](const std::pair<uint64_t, ShardId>& vnode, uint64_t p) {
+        return vnode.first < p;
+      });
+  if (it == ring_.end()) return 0;  // wrap
+  return static_cast<size_t>(it - ring_.begin());
 }
 
-std::vector<ShardId> HashRing::PreferenceOrder(const std::string& tenant,
+ShardId HashRing::ShardFor(std::string_view tenant) const {
+  return ring_[FirstAtOrAfter(HashKey(options_.seed, tenant))].second;
+}
+
+std::vector<ShardId> HashRing::PreferenceOrder(std::string_view tenant,
                                                size_t k) const {
-  ADS_CHECK(!ring_.empty()) << "empty hash ring";
   std::vector<ShardId> order;
+  const size_t start = FirstAtOrAfter(HashKey(options_.seed, tenant));
   const size_t want = std::min(k, shards_.size());
-  if (want == 0) return order;
-  const uint64_t point = HashKey(options_.seed, tenant);
-  size_t start = 0;
-  while (start < ring_.size() && ring_[start].first < point) ++start;
   for (size_t step = 0; step < ring_.size() && order.size() < want; ++step) {
     ShardId shard = ring_[(start + step) % ring_.size()].second;
     if (std::find(order.begin(), order.end(), shard) == order.end()) {

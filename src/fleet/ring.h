@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -51,21 +52,30 @@ class HashRing {
   /// Shards currently on the ring, ascending.
   std::vector<ShardId> Shards() const;
 
-  /// Home shard for a tenant. Requires a non-empty ring.
-  ShardId ShardFor(const std::string& tenant) const;
+  /// Home shard for a tenant: a binary search for the tenant's point.
+  /// Requires a non-empty ring.
+  ShardId ShardFor(std::string_view tenant) const;
 
   /// Up to `k` distinct shards in ring order starting at the tenant's
   /// point: element 0 is the home shard, element 1 the first fallback
   /// (the drain/overload reroute target), and so on.
-  std::vector<ShardId> PreferenceOrder(const std::string& tenant,
+  std::vector<ShardId> PreferenceOrder(std::string_view tenant,
                                        size_t k) const;
 
   /// The seeded FNV-1a point hash used for both vnodes and tenants;
   /// exposed so tests and the router's replica spread share one stable
   /// hash.
-  static uint64_t HashKey(uint64_t seed, const std::string& key);
+  static uint64_t HashKey(uint64_t seed, std::string_view key);
+  /// HashKey(seed, tenant + "#" + std::to_string(id)), computed without
+  /// building the string: the router's per-request replica-spread key.
+  static uint64_t HashKey(uint64_t seed, std::string_view tenant,
+                          uint64_t id);
 
  private:
+  /// Index of the first vnode at or after `point`, wrapping past the last
+  /// vnode to 0. Requires a non-empty ring.
+  size_t FirstAtOrAfter(uint64_t point) const;
+
   RingOptions options_;
   /// Sorted (point, shard); ties break by shard id so a hash collision
   /// cannot make placement order-dependent.

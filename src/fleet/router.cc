@@ -31,29 +31,33 @@ FleetRouter::FleetRouter(size_t shards, size_t replicas_per_shard,
 
 RouteDecision FleetRouter::Route(const std::string& tenant,
                                  uint64_t request_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
   RouteDecision decision;
-  std::vector<ShardId> prefs = ring_.PreferenceOrder(tenant, shard_count_);
-  decision.home_shard = prefs[0];
-  decision.shard = prefs[0];
-  decision.reason = RouteReason::kHome;
-  const bool home_draining = draining_[prefs[0]] != 0;
-  const bool home_overloaded =
-      static_cast<double>(load_[prefs[0]].queue_depth) >
-      options_.overload_queue_depth;
-  if (home_draining || home_overloaded) {
-    for (size_t i = 1; i < prefs.size(); ++i) {
-      const ShardId candidate = prefs[i];
-      if (draining_[candidate] != 0) continue;
-      if (home_overloaded && !home_draining &&
-          static_cast<double>(load_[candidate].queue_depth) >
-              options_.divert_target_depth) {
-        continue;  // don't shuffle load onto an equally drowning shard
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const ShardId home = ring_.ShardFor(tenant);
+    decision.home_shard = home;
+    decision.shard = home;
+    decision.reason = RouteReason::kHome;
+    const bool home_draining = draining_[home] != 0;
+    const bool home_overloaded =
+        static_cast<double>(load_[home].queue_depth) >
+        options_.overload_queue_depth;
+    if (home_draining || home_overloaded) {
+      const std::vector<ShardId> prefs =
+          ring_.PreferenceOrder(tenant, shard_count_);
+      for (size_t i = 1; i < prefs.size(); ++i) {
+        const ShardId candidate = prefs[i];
+        if (draining_[candidate] != 0) continue;
+        if (home_overloaded && !home_draining &&
+            static_cast<double>(load_[candidate].queue_depth) >
+                options_.divert_target_depth) {
+          continue;  // don't shuffle load onto an equally drowning shard
+        }
+        decision.shard = candidate;
+        decision.reason = home_draining ? RouteReason::kDrainDivert
+                                        : RouteReason::kLoadDivert;
+        break;
       }
-      decision.shard = candidate;
-      decision.reason = home_draining ? RouteReason::kDrainDivert
-                                      : RouteReason::kLoadDivert;
-      break;
     }
   }
   // Replica spread: hash (tenant, id) so one tenant's requests fan over
@@ -63,8 +67,8 @@ RouteDecision FleetRouter::Route(const std::string& tenant,
       replicas_per_shard_ == 1
           ? 0
           : static_cast<size_t>(HashRing::HashKey(
-                options_.ring.seed ^ 0x9e3779b97f4a7c15ull,
-                tenant + "#" + std::to_string(request_id))) %
+                options_.ring.seed ^ 0x9e3779b97f4a7c15ull, tenant,
+                request_id)) %
                 replicas_per_shard_;
   return decision;
 }

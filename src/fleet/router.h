@@ -13,14 +13,9 @@
 namespace ads::fleet {
 
 /// Cross-shard load snapshot one shard publishes into the router: the
-/// signals the reroute/shed decisions read. Queue depth and inflight are
-/// instantaneous; shed_rate and p99 are whatever window the publisher
-/// maintains.
+/// signal the load-aware divert reads (instantaneous queued requests).
 struct ShardLoad {
   size_t queue_depth = 0;
-  size_t inflight = 0;
-  double shed_rate = 0.0;
-  double p99_seconds = 0.0;
 };
 
 struct RouterOptions {
@@ -63,7 +58,8 @@ class FleetRouter {
   /// Routes one arrival. Deterministic in (tenant, request_id, ring seed,
   /// drain flags, published loads). When every shard is draining the home
   /// shard takes the request anyway — admission control there decides its
-  /// fate; routing never silently drops.
+  /// fate; routing never silently drops. Allocation-free unless the home
+  /// shard is draining or over its queue-depth limit.
   RouteDecision Route(const std::string& tenant, uint64_t request_id) const;
 
   /// Marks a shard as draining: new arrivals divert to ring fallbacks

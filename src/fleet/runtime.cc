@@ -394,15 +394,10 @@ void FleetRuntime::SampleGauges(telemetry::TelemetryStore* store) {
           {{"shard", std::to_string(shard)},
            {"replica", std::to_string(r)}});
       replica(shard, r).SampleGauges(scope);
-      serve::ServingStats stats = replica(shard, r).Stats();
-      load.queue_depth += stats.queued;
-      load.p99_seconds = std::max(load.p99_seconds, stats.latency.p99);
+      load.queue_depth += replica(shard, r).Stats().queued;
     }
-    const ShardCounters& c = counters[shard];
-    load.shed_rate = c.accepted > 0 ? static_cast<double>(c.Shed()) /
-                                          static_cast<double>(c.accepted)
-                                    : 0.0;
     router_.UpdateLoad(shard, load);
+    const ShardCounters& c = counters[shard];
     telemetry::ScopedGauges fleet_scope(
         store, "fleet.", {{"shard", std::to_string(shard)}});
     fleet_scope.Record("served_total", now, static_cast<double>(c.served));

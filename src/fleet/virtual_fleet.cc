@@ -118,15 +118,6 @@ void VirtualFleet::Emit(const serve::Response& response) {
 void VirtualFleet::PublishLoad(ShardId shard) {
   ShardLoad load;
   load.queue_depth = ShardQueueDepth(shard);
-  for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
-    load.inflight +=
-        replicas_[shard * options_.replicas_per_shard + r].busy_workers;
-  }
-  const ShardCounters& c = counters_[shard];
-  load.shed_rate = c.accepted > 0 ? static_cast<double>(c.Shed()) /
-                                        static_cast<double>(c.accepted)
-                                  : 0.0;
-  load.p99_seconds = shard_latency_[shard].Quantile(0.99);
   router_.UpdateLoad(shard, load);
 }
 
@@ -177,8 +168,13 @@ void VirtualFleet::OnArrival(serve::Request request, double now) {
     request.pinned_version = backend_it->second->CurrentDeployedVersion();
   }
 
-  serve::Request prototype = request;  // kept for the hedge duplicate
-  prototype.arrival = now;
+  // Keep a copy for the hedge duplicate only when a hedge can fire.
+  const bool can_hedge = hedge_.enabled() && options_.replicas_per_shard >= 2;
+  serve::Request prototype;
+  if (can_hedge) {
+    prototype = request;
+    prototype.arrival = now;
+  }
   Replica& target = replica(decision.shard, decision.replica);
   serve::AdmitResult admit = target.core.Admit(std::move(request), now);
   if (!admit.accepted) {
@@ -208,7 +204,7 @@ void VirtualFleet::OnArrival(serve::Request request, double now) {
     pending.arrival = now;
     pending.root_span = root;
     pending_.emplace(id, std::move(pending));
-    if (hedge_.enabled() && options_.replicas_per_shard >= 2) {
+    if (can_hedge) {
       queue_.ScheduleAt(now + hedge_.Delay(), [this, id](common::SimTime t) {
         FireHedge(id, t);
       });

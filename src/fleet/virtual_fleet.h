@@ -134,7 +134,8 @@ class VirtualFleet {
   /// acceptance to the terminal event of the last physical copy; exactly
   /// one Response is emitted per entry.
   struct Pending {
-    serve::Request prototype;  // post-pin copy, duplicated on hedge fire
+    serve::Request prototype;  // post-pin copy, duplicated on hedge fire;
+                               // empty when hedging cannot fire
     ShardId owner = 0;         // shard owning the primary copy
     size_t primary_replica = 0;
     double arrival = 0.0;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <utility>
 #include <vector>
 
 namespace ads::common {
@@ -65,6 +69,85 @@ TEST(EventQueueTest, EventsCanCascade) {
   q.RunAll();
   EXPECT_EQ(depth, 5);
   EXPECT_DOUBLE_EQ(q.now(), 4.0);
+}
+
+// Callable that counts how often it is copy-constructed; moves are free.
+struct CopyCounter {
+  int* copies;
+  int* runs;
+  CopyCounter(int* c, int* r) : copies(c), runs(r) {}
+  CopyCounter(const CopyCounter& other)
+      : copies(other.copies), runs(other.runs) {
+    ++*copies;
+  }
+  CopyCounter(CopyCounter&& other) noexcept = default;
+  void operator()(SimTime) { ++*runs; }
+};
+
+TEST(EventQueueTest, CallbacksAreMovedNeverCopied) {
+  // A callback that captures a request or a batch must not be
+  // deep-copied on its way through the queue, including when it pops.
+  EventQueue q;
+  int copies = 0;
+  int runs = 0;
+  for (int i = 0; i < 64; ++i) {
+    q.ScheduleAt(static_cast<SimTime>(64 - i) * 0.5,
+                 CopyCounter(&copies, &runs));
+  }
+  q.RunUntil(10.0);
+  q.ScheduleAfter(1.0, CopyCounter(&copies, &runs));
+  q.RunAll();
+  EXPECT_EQ(runs, 65);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(EventQueueTest, SeededScheduleWithTiesPopsInTimeThenInsertionOrder) {
+  // Times are drawn from a handful of values so most events tie; running
+  // callbacks add more, some at the current instant. Every event records
+  // its (when, seq) key; the run must visit the keys in ascending order.
+  std::mt19937_64 rng(20231017);
+  EventQueue q;
+  uint64_t next_seq = 0;
+  std::vector<std::pair<SimTime, uint64_t>> ran;
+  std::function<void(SimTime)> schedule_random;
+  auto schedule = [&](SimTime when) {
+    const uint64_t seq = next_seq++;
+    q.ScheduleAt(when, [&, when, seq](SimTime now) {
+      EXPECT_EQ(now, when);
+      ran.emplace_back(when, seq);
+      if (next_seq < 4000 && rng() % 3 == 0) {
+        for (uint64_t k = rng() % 3; k > 0; --k) schedule_random(now);
+      }
+    });
+  };
+  schedule_random = [&](SimTime now) {
+    schedule(now + static_cast<SimTime>(rng() % 4));  // 0 ties with now
+  };
+  for (int i = 0; i < 1000; ++i) schedule(static_cast<SimTime>(rng() % 8));
+  q.RunAll();
+  EXPECT_EQ(ran.size(), next_seq);
+  EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+  EXPECT_GT(next_seq, 1000u);
+}
+
+TEST(EventQueueTest, RunningCallbackCanScheduleIntoItsOwnFreedSlot) {
+  // The popped callback's slot is free while it runs, so the first event
+  // it schedules reuses it, and growing the slab must not disturb the
+  // running callback's own captured state.
+  EventQueue q;
+  std::vector<int> order;
+  const std::vector<int> payload(32, 7);
+  q.ScheduleAt(1.0, [&, payload](SimTime now) {
+    q.ScheduleAt(now, [&](SimTime) { order.push_back(2); });
+    q.ScheduleAt(now + 2.0, [&](SimTime) { order.push_back(4); });
+    for (int i = 0; i < 100; ++i) q.ScheduleAt(now + 1.0, [](SimTime) {});
+    q.ScheduleAt(now + 1.0, [&](SimTime) { order.push_back(3); });
+    order.push_back(payload.back() == 7 && payload.size() == 32 ? 1 : -1);
+  });
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_DOUBLE_EQ(q.now(), 3.0);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, StepReturnsFalseWhenEmpty) {

@@ -124,6 +124,33 @@ TEST(ThreadPoolTest, StatsCountsExecutedTasks) {
   EXPECT_EQ(after.active, 0u);
 }
 
+TEST(ThreadPoolTest, StatsAreSettledWhenParallelForAndFuturesReturn) {
+  // Many short ParallelFor calls race the last chunk's completion signal
+  // against the caller returning: the caller's stack-local handshake state
+  // must outlive the last chunk's use of it, and each chunk's bookkeeping
+  // must land before the caller can read Stats().
+  ThreadPool pool(4);
+  uint64_t expected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::atomic<size_t> covered(0);
+    pool.ParallelFor(0, 24, 3, [&](size_t cb, size_t ce) {
+      covered.fetch_add(ce - cb);
+    });
+    expected += 8;  // 24 indices in chunks of 3
+    ASSERT_EQ(covered.load(), 24u) << "iteration " << iter;
+    ThreadPoolStats stats = pool.Stats();
+    ASSERT_EQ(stats.executed, expected) << "iteration " << iter;
+    ASSERT_EQ(stats.active, 0u) << "iteration " << iter;
+    if (iter % 50 == 0) {
+      pool.Submit([]() {}).get();
+      expected += 1;
+      stats = pool.Stats();
+      ASSERT_EQ(stats.executed, expected) << "iteration " << iter;
+      ASSERT_EQ(stats.active, 0u) << "iteration " << iter;
+    }
+  }
+}
+
 TEST(ThreadPoolTest, StatsCountsInlineExecution) {
   ThreadPool inline_pool(0);
   inline_pool.Submit([]() {}).get();

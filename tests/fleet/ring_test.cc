@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -134,6 +136,47 @@ TEST(HashRingTest, FallbackOrderIsStickyUnderGrowth) {
       if (s != 4) after_without_new.push_back(s);
     }
     EXPECT_EQ(before, after_without_new) << tenant;
+  }
+}
+
+TEST(HashRingTest, ShardForIsHeadOfPreferenceOrderIncludingWrapAround) {
+  // ShardFor binary-searches the ring; PreferenceOrder starts its
+  // clockwise walk at the same vnode. Tenants hashing past the last vnode
+  // wrap to the first one.
+  for (size_t shards : {1u, 3u, 7u}) {
+    RingOptions options;
+    options.vnodes_per_shard = 4;  // few vnodes: wide arcs, many wraps
+    HashRing ring = RingWithShards(shards, options);
+    const uint64_t last_vnode = [&] {
+      uint64_t max_point = 0;
+      for (ShardId s = 0; s < shards; ++s) {
+        for (size_t v = 0; v < options.vnodes_per_shard; ++v) {
+          max_point = std::max(
+              max_point,
+              HashRing::HashKey(options.seed, "s" + std::to_string(s) + "#" +
+                                                  std::to_string(v)));
+        }
+      }
+      return max_point;
+    }();
+    size_t wrapped = 0;
+    for (const std::string& tenant : Tenants(3000)) {
+      if (HashRing::HashKey(options.seed, tenant) > last_vnode) ++wrapped;
+      const std::vector<ShardId> order = ring.PreferenceOrder(tenant, shards);
+      ASSERT_EQ(order.size(), shards);
+      EXPECT_EQ(ring.ShardFor(tenant), order[0]) << tenant;
+    }
+    EXPECT_GT(wrapped, 0u) << "no tenant exercised the wrap-around";
+  }
+}
+
+TEST(HashRingTest, RequestKeyHashMatchesTheConcatenatedString) {
+  const std::string tenant = "tenant-a";
+  for (uint64_t id : {uint64_t{0}, uint64_t{9}, uint64_t{10},
+                      uint64_t{123456789}, ~uint64_t{0}}) {
+    EXPECT_EQ(HashRing::HashKey(0x5eed, tenant, id),
+              HashRing::HashKey(0x5eed, tenant + "#" + std::to_string(id)))
+        << id;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -43,6 +45,27 @@ TEST(FleetRouterTest, ReplicaSpreadIsDeterministicAndUsesWholeGroup) {
   }
   // One tenant's requests fan over the replica group, not hot-spot one.
   EXPECT_EQ(replicas_seen.size(), 4u);
+}
+
+TEST(FleetRouterTest, ReplicaIsTheSeededHashOfTenantAndId) {
+  // Pins the replica spread to its string definition, so computing the
+  // key without building the string cannot silently move requests.
+  for (uint64_t seed : {uint64_t{0x5eed}, uint64_t{42}}) {
+    RouterOptions options;
+    options.ring.seed = seed;
+    FleetRouter router(3, 5, options);
+    for (const std::string tenant : {"tenant-a", "t7", ""}) {
+      for (uint64_t id : {uint64_t{0}, uint64_t{9}, uint64_t{10},
+                          std::numeric_limits<uint64_t>::max()}) {
+        const size_t expected = static_cast<size_t>(
+            HashRing::HashKey(seed ^ 0x9e3779b97f4a7c15ull,
+                              tenant + "#" + std::to_string(id)) %
+            5);
+        EXPECT_EQ(router.Route(tenant, id).replica, expected)
+            << tenant << " " << id;
+      }
+    }
+  }
 }
 
 TEST(FleetRouterTest, DrainDivertsToFirstFallbackAndRejoinRestores) {
