@@ -67,7 +67,8 @@ class Rng {
   }
 
   /// Zipf-like categorical draw over [0, n): P(k) proportional to
-  /// 1/(k+1)^s. Used for skewed template popularity.
+  /// 1/(k+1)^s. Used for skewed template popularity. Builds a ZipfTable
+  /// per call; callers drawing many times from one support keep a table.
   int64_t Zipf(int64_t n, double s);
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
@@ -86,6 +87,23 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
+};
+
+/// Inverse-CDF table for Zipf draws over [0, n): P(k) proportional to
+/// 1/(k+1)^s. Built once in O(n); each Draw is one Uniform(0, total) and a
+/// binary search. The prefix sums accumulate left to right, exactly as a
+/// linear scan over the support would, so a draw returns the index such a
+/// scan returns for the same uniform — bit for bit, not just in law.
+class ZipfTable {
+ public:
+  ZipfTable(int64_t n, double s);
+
+  int64_t Draw(Rng& rng) const;
+
+  int64_t size() const { return static_cast<int64_t>(cdf_.size()); }
+
+ private:
+  std::vector<double> cdf_;
 };
 
 }  // namespace ads::common

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "engine/vec_ops.h"
 
@@ -66,38 +69,451 @@ std::string NodeDetail(const PlanNode& node) {
   return os.str();
 }
 
-}  // namespace
+using RowIndex = common::AlignedBuffer<uint32_t>;
+using SharedIndex = std::shared_ptr<const RowIndex>;
 
-struct RealExecutor::ExecContext {
+/// A relation as operators hand it on: column pointers plus one row index
+/// per input side. Row r of the relation reads column c at row
+/// sides[c.side].index[r] — at row r itself when that index is null.
+struct View {
+  struct Side {
+    /// Row index into this side's columns; null is the identity.
+    SharedIndex index;
+    /// Owns the side's columns when an operator produced them (aggregate,
+    /// union); null when they are borrowed from the TableStore.
+    std::shared_ptr<const ColumnTable> owner;
+  };
+  struct Col {
+    const Column* values = nullptr;
+    size_t side = 0;
+  };
+
+  std::vector<Side> sides;
+  std::vector<Col> cols;
+  size_t rows = 0;
+
+  /// Position of the named column in `cols`, or -1.
+  int Find(const std::string& name) const {
+    for (size_t i = 0; i < cols.size(); ++i) {
+      if (cols[i].values->name() == name) return static_cast<int>(i);
+    }
+    return -1;
+  }
+
+  ColumnRef Ref(size_t col) const {
+    const SharedIndex& index = sides[cols[col].side].index;
+    return ColumnRef{cols[col].values,
+                     index == nullptr ? nullptr : index->data()};
+  }
+};
+
+/// A view over columns an operator produced: one owned side, identity.
+View OwnedView(std::shared_ptr<const ColumnTable> table, size_t rows) {
+  View out;
+  out.rows = rows;
+  for (const Column& c : table->columns()) out.cols.push_back({&c, 0});
+  out.sides.push_back(View::Side{nullptr, std::move(table)});
+  return out;
+}
+
+/// Appends `in`'s sides and columns to `out`, each side's index composed
+/// with `sel`, a selection of `in`'s rows. Sides that shared an index
+/// share the composed one; an identity side takes `sel` itself.
+void AppendComposed(const View& in, const SharedIndex& sel,
+                    common::ThreadPool& pool, View* out) {
+  const size_t base = out->sides.size();
+  std::vector<std::pair<const RowIndex*, SharedIndex>> composed;
+  for (const View::Side& side : in.sides) {
+    SharedIndex index = sel;
+    if (side.index != nullptr) {
+      auto hit = std::find_if(composed.begin(), composed.end(),
+                              [&](const auto& c) {
+                                return c.first == side.index.get();
+                              });
+      if (hit != composed.end()) {
+        index = hit->second;
+      } else {
+        auto fresh = std::make_shared<RowIndex>();
+        ComposeIndex(side.index->data(), sel->data(), sel->size(), pool,
+                     fresh.get());
+        index = fresh;
+        composed.emplace_back(side.index.get(), index);
+      }
+    }
+    out->sides.push_back(View::Side{std::move(index), side.owner});
+  }
+  for (const View::Col& c : in.cols) {
+    out->cols.push_back({c.values, base + c.side});
+  }
+}
+
+/// The result table: the only value gather besides Union, and only for
+/// the columns of the root's output schema.
+ColumnTable Materialize(const View& view, common::ThreadPool& pool) {
+  ColumnTable out("result");
+  for (size_t i = 0; i < view.cols.size(); ++i) {
+    const Column& src = *view.cols[i].values;
+    Column c(src.name(), src.type());
+    c.Resize(view.rows);
+    GatherColumn(view.Ref(i), view.rows, pool, &c, 0);
+    out.AddColumn(std::move(c));
+  }
+  return out;
+}
+
+struct ExecContext {
+  const TableStore* store = nullptr;
   common::ThreadPool* pool = nullptr;
+  uint64_t hash_seed = 0;
   telemetry::Tracer* tracer = nullptr;
   double start_time = 0.0;
   std::vector<OperatorStats>* operators = nullptr;
 };
 
-RealExecutor::RealExecutor(const TableStore* store, RealExecOptions options)
-    : store_(store), options_(options) {}
-
-common::Result<ExecResult> RealExecutor::Execute(
-    const PlanNode& plan, telemetry::Tracer* tracer,
-    telemetry::SpanId parent) const {
-  ExecResult result;
-  ExecContext ctx;
-  ctx.pool =
-      options_.pool != nullptr ? options_.pool : &common::ThreadPool::Global();
-  ctx.tracer = tracer;
-  ctx.start_time = Now();
-  ctx.operators = &result.operators;
-  auto table = Exec(plan, ctx, parent);
-  if (!table.ok()) return table.status();
-  result.table = std::move(table).value();
-  result.total_seconds = Now() - ctx.start_time;
-  return result;
+common::Result<View> ExecScan(const PlanNode& node, const ExecContext& ctx) {
+  const ColumnTable* table = ctx.store->FindTable(node.table);
+  if (table == nullptr) {
+    return common::Status::NotFound("no stored table named " + node.table +
+                                    " (is this a simulated-only plan?)");
+  }
+  View out;
+  out.rows = table->num_rows();
+  out.sides.emplace_back();
+  if (node.columns.empty()) {
+    for (const Column& c : table->columns()) out.cols.push_back({&c, 0});
+    return out;
+  }
+  // ProjectIntoScan narrowing: borrow only the surviving columns.
+  for (const std::string& name : node.columns) {
+    const Column* c = table->FindColumn(name);
+    if (c == nullptr) return MissingColumn(name, "scan of " + node.table);
+    out.cols.push_back({c, 0});
+  }
+  return out;
 }
 
-common::Result<ColumnTable> RealExecutor::Exec(
-    const PlanNode& node, ExecContext& ctx,
-    telemetry::SpanId parent) const {
+common::Result<View> ExecFilter(const PlanNode& node, View input,
+                                const ExecContext& ctx) {
+  if (node.predicates.empty()) return input;
+  // The first predicate fills the bitmap; each later one only tests the
+  // rows still set.
+  common::AlignedBuffer<uint64_t> bits;
+  bits.EnsureCapacity(BitmapWords(input.rows));
+  for (size_t p = 0; p < node.predicates.size(); ++p) {
+    const Predicate& pred = node.predicates[p];
+    const int col = input.Find(pred.column);
+    if (col < 0) return MissingColumn(pred.column, "filter input");
+    const ColumnRef ref = input.Ref(static_cast<size_t>(col));
+    if (p == 0) {
+      PredicateBitmap(ref, input.rows, pred.op, pred.value, *ctx.pool,
+                      bits.data());
+    } else {
+      PredicateBitmapAnd(ref, input.rows, pred.op, pred.value, *ctx.pool,
+                         bits.data());
+    }
+  }
+  auto sel = std::make_shared<RowIndex>();
+  const size_t n = BitmapToSelection(bits.data(), input.rows, sel.get());
+  if (n == input.rows) return input;  // every row survives
+  View out;
+  out.rows = n;
+  AppendComposed(input, sel, *ctx.pool, &out);
+  return out;
+}
+
+common::Result<View> ExecProject(const PlanNode& node, const View& input) {
+  View out;
+  out.rows = input.rows;
+  // Narrow the pointer list; a side no surviving column reads is dropped,
+  // so no operator above composes its index again.
+  std::vector<int> side_of(input.sides.size(), -1);
+  for (const std::string& name : node.columns) {
+    const int col = input.Find(name);
+    if (col < 0) return MissingColumn(name, "project input");
+    const View::Col& c = input.cols[static_cast<size_t>(col)];
+    if (side_of[c.side] < 0) {
+      side_of[c.side] = static_cast<int>(out.sides.size());
+      out.sides.push_back(input.sides[c.side]);
+    }
+    out.cols.push_back({c.values, static_cast<size_t>(side_of[c.side])});
+  }
+  return out;
+}
+
+common::Result<View> ExecJoin(const PlanNode& node, const View& left,
+                              const View& right, const ExecContext& ctx) {
+  // Resolve which side owns which key by schema, not by position: the
+  // commute/associativity rules move keys freely.
+  int lkey = left.Find(node.join.left_key);
+  int rkey = right.Find(node.join.right_key);
+  if (lkey < 0 || rkey < 0) {
+    lkey = left.Find(node.join.right_key);
+    rkey = right.Find(node.join.left_key);
+  }
+  if (lkey < 0 || rkey < 0) {
+    return common::Status::NotFound("join keys " + node.join.left_key +
+                                    "/" + node.join.right_key +
+                                    " not resolvable against inputs");
+  }
+  const ColumnRef lk = left.Ref(static_cast<size_t>(lkey));
+  const ColumnRef rk = right.Ref(static_cast<size_t>(rkey));
+  if (lk.column->type() != ColumnType::kI64 ||
+      rk.column->type() != ColumnType::kI64) {
+    return common::Status::Unimplemented("join keys must be i64 columns");
+  }
+
+  // Build over the right input, probe with the left in row order: output
+  // row order is (left row asc, right matches asc) — the defined order.
+  JoinHashTable table;
+  table.Build(rk, right.rows, ctx.hash_seed);
+  auto probe_idx = std::make_shared<RowIndex>();
+  auto build_idx = std::make_shared<RowIndex>();
+  table.Probe(lk, left.rows, *ctx.pool, probe_idx.get(), build_idx.get());
+
+  View out;
+  out.rows = probe_idx->size();
+  AppendComposed(left, probe_idx, *ctx.pool, &out);
+  AppendComposed(right, build_idx, *ctx.pool, &out);
+  return out;
+}
+
+template <typename T>
+const T* Values(const Column& c) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    return c.i64_data();
+  } else {
+    return c.f64_data();
+  }
+}
+
+template <typename T>
+void Put(Column* c, size_t row, T value) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    c->I64At(row) = value;
+  } else {
+    c->F64At(row) = value;
+  }
+}
+
+/// Accumulator of SUM/AVG over T. i64 sums accumulate unsigned:
+/// overflow-adjacent data wraps mod 2^64 (defined, and congruent to the
+/// signed sum) instead of UB. f64 sums accumulate in row order: the
+/// defined, bit-reproducible semantics.
+template <typename T>
+using SumOf =
+    std::conditional_t<std::is_same_v<T, int64_t>, uint64_t, double>;
+
+/// The per-group aggregates of one Aggregate node, computed over a group
+/// index. SUM and AVG of the same input share one pass over it.
+class GroupedAggregates {
+ public:
+  GroupedAggregates(size_t rows, const uint32_t* group_of_row, size_t groups)
+      : rows_(rows), group_of_row_(group_of_row), counts_(groups, 0) {
+    for (size_t r = 0; r < rows; ++r) ++counts_[group_of_row[r]];
+  }
+
+  /// Fills `result` (one row per group) with `fn` over `in`; `in` is
+  /// unused for COUNT(*).
+  void Compute(AggFn fn, const ColumnRef& in, Column* result) {
+    if (fn == AggFn::kCount) {
+      for (size_t g = 0; g < counts_.size(); ++g) {
+        result->I64At(g) = counts_[g];
+      }
+    } else if (in.column->type() == ColumnType::kI64) {
+      ComputeTyped<int64_t>(fn, in, i64_sums_, result);
+    } else {
+      ComputeTyped<double>(fn, in, f64_sums_, result);
+    }
+  }
+
+ private:
+  template <typename T>
+  using SumCache = std::vector<std::pair<ColumnRef, std::vector<SumOf<T>>>>;
+
+  /// fn(group, value) for every input row, in row order.
+  template <typename T, typename Fn>
+  void ForEachRow(const ColumnRef& in, Fn&& fn) const {
+    const T* v = Values<T>(*in.column);
+    if (in.index == nullptr) {
+      for (size_t r = 0; r < rows_; ++r) fn(group_of_row_[r], v[r]);
+    } else {
+      for (size_t r = 0; r < rows_; ++r) {
+        fn(group_of_row_[r], v[in.index[r]]);
+      }
+    }
+  }
+
+  template <typename T>
+  void ComputeTyped(AggFn fn, const ColumnRef& in, SumCache<T>& sum_cache,
+                    Column* result) {
+    const size_t groups = counts_.size();
+    if (fn == AggFn::kSum || fn == AggFn::kAvg) {
+      auto hit = std::find_if(
+          sum_cache.begin(), sum_cache.end(), [&](const auto& e) {
+            return e.first.column == in.column && e.first.index == in.index;
+          });
+      if (hit == sum_cache.end()) {
+        std::vector<SumOf<T>> sums(groups, SumOf<T>{0});
+        ForEachRow<T>(in, [&](uint32_t g, T v) {
+          sums[g] += static_cast<SumOf<T>>(v);
+        });
+        sum_cache.emplace_back(in, std::move(sums));
+        hit = sum_cache.end() - 1;
+      }
+      const std::vector<SumOf<T>>& sums = hit->second;
+      for (size_t g = 0; g < groups; ++g) {
+        if (fn == AggFn::kSum) {
+          Put<T>(result, g, static_cast<T>(sums[g]));
+        } else {
+          result->F64At(g) =
+              counts_[g] == 0 ? 0.0
+                              : static_cast<double>(static_cast<T>(sums[g])) /
+                                    static_cast<double>(counts_[g]);
+        }
+      }
+      return;
+    }
+    const bool is_min = fn == AggFn::kMin;
+    std::vector<T> best(groups, T{0});
+    std::vector<uint8_t> seen(groups, 0);
+    ForEachRow<T>(in, [&](uint32_t g, T v) {
+      if (!seen[g] || (is_min ? v < best[g] : v > best[g])) {
+        best[g] = v;
+        seen[g] = 1;
+      }
+    });
+    for (size_t g = 0; g < groups; ++g) Put<T>(result, g, best[g]);
+  }
+
+  size_t rows_;
+  const uint32_t* group_of_row_;
+  std::vector<int64_t> counts_;
+  SumCache<int64_t> i64_sums_;
+  SumCache<double> f64_sums_;
+};
+
+common::Result<View> ExecAggregate(const PlanNode& node, const View& input,
+                                   const ExecContext& ctx) {
+  const size_t rows = input.rows;
+
+  std::vector<ColumnRef> keys;
+  for (const std::string& key : node.agg.group_keys) {
+    const int col = input.Find(key);
+    if (col < 0) {
+      return MissingColumn(key,
+                           "aggregate input (eager-aggregation partials "
+                           "are not executable)");
+    }
+    keys.push_back(input.Ref(static_cast<size_t>(col)));
+    if (keys.back().column->type() != ColumnType::kI64) {
+      return common::Status::Unimplemented("group keys must be i64 columns");
+    }
+  }
+
+  std::vector<AggExpr> aggs = node.agg.aggs;
+  if (aggs.empty()) aggs.push_back(AggExpr{AggFn::kCount, ""});
+  std::vector<ColumnRef> agg_inputs(aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    if (aggs[a].column.empty()) {
+      if (aggs[a].fn != AggFn::kCount) {
+        return common::Status::InvalidArgument(
+            "aggregate without input column must be COUNT(*)");
+      }
+      continue;
+    }
+    const int col = input.Find(aggs[a].column);
+    if (col < 0) return MissingColumn(aggs[a].column, "aggregate input");
+    agg_inputs[a] = input.Ref(static_cast<size_t>(col));
+  }
+
+  GroupIndex index;
+  index.Build(keys, rows, ctx.hash_seed);
+  // A global aggregate (no keys) over zero rows still yields one row of
+  // identities: count 0, sum 0, avg 0, min/max 0. This engine has no
+  // NULLs; both executors implement exactly this convention.
+  const bool global_empty = keys.empty() && rows == 0;
+  const size_t groups = global_empty ? 1 : index.num_groups();
+  const uint32_t* group_of_row = index.group_of_row().data();
+
+  auto out = std::make_shared<ColumnTable>("aggregate");
+  for (size_t k = 0; k < keys.size(); ++k) {
+    Column key(node.agg.group_keys[k], ColumnType::kI64);
+    key.Resize(groups);
+    for (size_t g = 0; g < groups; ++g) {
+      key.I64At(g) = keys[k].I64(index.representative_row()[g]);
+    }
+    out->AddColumn(std::move(key));
+  }
+
+  GroupedAggregates grouped(rows, group_of_row, groups);
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    const ColumnRef& in = agg_inputs[a];
+    const ColumnType in_type =
+        in.column == nullptr ? ColumnType::kI64 : in.column->type();
+    Column result(aggs[a].OutputName(), AggOutputType(aggs[a].fn, in_type));
+    result.Resize(groups);
+    grouped.Compute(aggs[a].fn, in, &result);
+    out->AddColumn(std::move(result));
+  }
+  return OwnedView(std::move(out), groups);
+}
+
+common::Result<View> ExecSort(const PlanNode& node, const View& input,
+                              const ExecContext& ctx) {
+  std::vector<ColumnRef> keys;
+  for (const std::string& name : node.columns) {
+    const int col = input.Find(name);
+    if (col < 0) return MissingColumn(name, "sort input");
+    keys.push_back(input.Ref(static_cast<size_t>(col)));
+  }
+  auto order = std::make_shared<RowIndex>();
+  order->EnsureCapacity(input.rows);
+  std::iota(order->begin(), order->end(), 0u);
+  std::stable_sort(order->begin(), order->end(),
+                   [&](uint32_t a, uint32_t b) {
+                     for (const ColumnRef& k : keys) {
+                       if (k.column->type() == ColumnType::kI64) {
+                         if (k.I64(a) != k.I64(b)) return k.I64(a) < k.I64(b);
+                       } else {
+                         if (k.F64(a) != k.F64(b)) return k.F64(a) < k.F64(b);
+                       }
+                     }
+                     return false;
+                   });
+  View out;
+  out.rows = input.rows;
+  AppendComposed(input, order, *ctx.pool, &out);
+  return out;
+}
+
+common::Result<View> ExecUnion(const View& left, const View& right,
+                               const ExecContext& ctx) {
+  if (left.cols.size() != right.cols.size()) {
+    return common::Status::InvalidArgument("union schema mismatch");
+  }
+  for (size_t i = 0; i < left.cols.size(); ++i) {
+    const Column& l = *left.cols[i].values;
+    const Column& r = *right.cols[i].values;
+    if (l.name() != r.name() || l.type() != r.type()) {
+      return common::Status::InvalidArgument("union schema mismatch");
+    }
+  }
+  // Two inputs, one output row space: the values are gathered here.
+  const size_t rows = left.rows + right.rows;
+  auto out = std::make_shared<ColumnTable>("union");
+  for (size_t i = 0; i < left.cols.size(); ++i) {
+    const Column& src = *left.cols[i].values;
+    Column c(src.name(), src.type());
+    c.Resize(rows);
+    GatherColumn(left.Ref(i), left.rows, *ctx.pool, &c, 0);
+    GatherColumn(right.Ref(i), right.rows, *ctx.pool, &c, left.rows);
+    out->AddColumn(std::move(c));
+  }
+  return OwnedView(std::move(out), rows);
+}
+
+common::Result<View> Exec(const PlanNode& node, ExecContext& ctx,
+                          telemetry::SpanId parent) {
   telemetry::SpanId span = telemetry::kNoSpan;
   if (ctx.tracer != nullptr) {
     span = ctx.tracer->StartSpan(
@@ -107,7 +523,7 @@ common::Result<ColumnTable> RealExecutor::Exec(
   }
 
   uint64_t rows_in = 0;
-  std::vector<ColumnTable> inputs;
+  std::vector<View> inputs;
   inputs.reserve(node.children.size());
   for (const auto& child : node.children) {
     auto in = Exec(*child, ctx, span);
@@ -118,27 +534,27 @@ common::Result<ColumnTable> RealExecutor::Exec(
       }
       return in.status();
     }
-    rows_in += in->num_rows();
+    rows_in += in->rows;
     inputs.push_back(std::move(in).value());
   }
 
   const double op_start = Now();
-  common::Result<ColumnTable> out = [&]() -> common::Result<ColumnTable> {
+  common::Result<View> out = [&]() -> common::Result<View> {
     switch (node.op) {
       case OpType::kScan:
-        return ExecScan(node);
+        return ExecScan(node, ctx);
       case OpType::kFilter:
-        return ExecFilter(node, std::move(inputs[0]));
+        return ExecFilter(node, std::move(inputs[0]), ctx);
       case OpType::kProject:
-        return ExecProject(node, std::move(inputs[0]));
+        return ExecProject(node, inputs[0]);
       case OpType::kJoin:
-        return ExecJoin(node, std::move(inputs[0]), std::move(inputs[1]));
+        return ExecJoin(node, inputs[0], inputs[1], ctx);
       case OpType::kAggregate:
-        return ExecAggregate(node, std::move(inputs[0]));
+        return ExecAggregate(node, inputs[0], ctx);
       case OpType::kSort:
-        return ExecSort(node, std::move(inputs[0]));
+        return ExecSort(node, inputs[0], ctx);
       case OpType::kUnion:
-        return ExecUnion(node, std::move(inputs[0]), std::move(inputs[1]));
+        return ExecUnion(inputs[0], inputs[1], ctx);
     }
     return common::Status::Unimplemented("unknown operator");
   }();
@@ -156,7 +572,7 @@ common::Result<ColumnTable> RealExecutor::Exec(
   stats.op = node.op;
   stats.detail = NodeDetail(node);
   stats.rows_in = rows_in;
-  stats.rows_out = out->num_rows();
+  stats.rows_out = out->rows;
   stats.est_card = node.est_card;
   stats.true_card = node.true_card;
   stats.seconds = op_seconds;
@@ -164,332 +580,34 @@ common::Result<ColumnTable> RealExecutor::Exec(
 
   if (ctx.tracer != nullptr) {
     ctx.tracer->Annotate(span, "rows_in", std::to_string(rows_in));
-    ctx.tracer->Annotate(span, "rows_out", std::to_string(out->num_rows()));
+    ctx.tracer->Annotate(span, "rows_out", std::to_string(out->rows));
     ctx.tracer->EndSpan(span, Now() - ctx.start_time);
   }
   return out;
 }
 
-common::Result<ColumnTable> RealExecutor::ExecScan(
-    const PlanNode& node) const {
-  const ColumnTable* table = store_->FindTable(node.table);
-  if (table == nullptr) {
-    return common::Status::NotFound("no stored table named " + node.table +
-                                    " (is this a simulated-only plan?)");
-  }
-  ColumnTable out(table->name());
-  if (node.columns.empty()) {
-    for (const Column& c : table->columns()) out.AddColumn(c);
-    return out;
-  }
-  // ProjectIntoScan narrowing: emit only the surviving columns.
-  for (const std::string& name : node.columns) {
-    const Column* c = table->FindColumn(name);
-    if (c == nullptr) return MissingColumn(name, "scan of " + node.table);
-    out.AddColumn(*c);
-  }
-  return out;
-}
+}  // namespace
 
-common::Result<ColumnTable> RealExecutor::ExecFilter(
-    const PlanNode& node, ColumnTable input) const {
-  if (node.predicates.empty()) return input;
-  common::ThreadPool& pool = options_.pool != nullptr
-                                 ? *options_.pool
-                                 : common::ThreadPool::Global();
-  const size_t rows = input.num_rows();
-  const size_t words = BitmapWords(rows);
-  common::AlignedBuffer<uint64_t> acc(words);
-  common::AlignedBuffer<uint64_t> scratch(words);
-  for (size_t p = 0; p < node.predicates.size(); ++p) {
-    const Predicate& pred = node.predicates[p];
-    const Column* col = input.FindColumn(pred.column);
-    if (col == nullptr) return MissingColumn(pred.column, "filter input");
-    uint64_t* target = p == 0 ? acc.data() : scratch.data();
-    PredicateBitmap(*col, pred.op, pred.value, pool, target);
-    if (p > 0) BitmapAndInPlace(acc.data(), scratch.data(), words);
-  }
-  common::AlignedBuffer<uint32_t> sel;
-  const size_t n = BitmapToSelection(acc.data(), rows, &sel);
-  ColumnTable out(input.name());
-  for (const Column& c : input.columns()) {
-    Column gathered;
-    GatherColumn(c, sel.data(), n, pool, &gathered);
-    out.AddColumn(std::move(gathered));
-  }
-  return out;
-}
+RealExecutor::RealExecutor(const TableStore* store, RealExecOptions options)
+    : store_(store), options_(options) {}
 
-common::Result<ColumnTable> RealExecutor::ExecProject(
-    const PlanNode& node, ColumnTable input) const {
-  ColumnTable out(input.name());
-  for (const std::string& name : node.columns) {
-    const Column* c = input.FindColumn(name);
-    if (c == nullptr) return MissingColumn(name, "project input");
-    out.AddColumn(*c);
-  }
-  return out;
-}
-
-common::Result<ColumnTable> RealExecutor::ExecJoin(const PlanNode& node,
-                                                   ColumnTable left,
-                                                   ColumnTable right) const {
-  // Resolve which side owns which key by schema, not by position: the
-  // commute/associativity rules move keys freely.
-  const Column* lkey = left.FindColumn(node.join.left_key);
-  const Column* rkey = right.FindColumn(node.join.right_key);
-  if (lkey == nullptr || rkey == nullptr) {
-    lkey = left.FindColumn(node.join.right_key);
-    rkey = right.FindColumn(node.join.left_key);
-  }
-  if (lkey == nullptr || rkey == nullptr) {
-    return common::Status::NotFound("join keys " + node.join.left_key +
-                                    "/" + node.join.right_key +
-                                    " not resolvable against inputs");
-  }
-  if (lkey->type() != ColumnType::kI64 || rkey->type() != ColumnType::kI64) {
-    return common::Status::Unimplemented("join keys must be i64 columns");
-  }
-
-  common::ThreadPool& pool = options_.pool != nullptr
-                                 ? *options_.pool
-                                 : common::ThreadPool::Global();
-  // Build over the right input, probe with the left in row order: output
-  // row order is (left row asc, right matches asc) — the defined order.
-  JoinHashTable table;
-  table.Build(*rkey, options_.hash_seed);
-  common::AlignedBuffer<uint32_t> probe_idx;
-  common::AlignedBuffer<uint32_t> build_idx;
-  table.Probe(*lkey, pool, &probe_idx, &build_idx);
-
-  const size_t n = probe_idx.size();
-  ColumnTable out(left.name() + "_x_" + right.name());
-  for (const Column& c : left.columns()) {
-    Column gathered;
-    GatherColumn(c, probe_idx.data(), n, pool, &gathered);
-    out.AddColumn(std::move(gathered));
-  }
-  for (const Column& c : right.columns()) {
-    Column gathered;
-    GatherColumn(c, build_idx.data(), n, pool, &gathered);
-    out.AddColumn(std::move(gathered));
-  }
-  return out;
-}
-
-common::Result<ColumnTable> RealExecutor::ExecAggregate(
-    const PlanNode& node, ColumnTable input) const {
-  const size_t rows = input.num_rows();
-
-  std::vector<const Column*> key_cols;
-  for (const std::string& key : node.agg.group_keys) {
-    const Column* c = input.FindColumn(key);
-    if (c == nullptr) {
-      return MissingColumn(key,
-                           "aggregate input (eager-aggregation partials "
-                           "are not executable)");
-    }
-    if (c->type() != ColumnType::kI64) {
-      return common::Status::Unimplemented("group keys must be i64 columns");
-    }
-    key_cols.push_back(c);
-  }
-
-  std::vector<AggExpr> aggs = node.agg.aggs;
-  if (aggs.empty()) aggs.push_back(AggExpr{AggFn::kCount, ""});
-  std::vector<const Column*> agg_cols(aggs.size(), nullptr);
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].column.empty()) {
-      if (aggs[a].fn != AggFn::kCount) {
-        return common::Status::InvalidArgument(
-            "aggregate without input column must be COUNT(*)");
-      }
-      continue;
-    }
-    agg_cols[a] = input.FindColumn(aggs[a].column);
-    if (agg_cols[a] == nullptr) {
-      return MissingColumn(aggs[a].column, "aggregate input");
-    }
-  }
-
-  GroupIndex index;
-  index.Build(key_cols, rows, options_.hash_seed);
-  // A global aggregate (no keys) over zero rows still yields one row of
-  // identities: count 0, sum 0, avg 0, min/max 0. This engine has no
-  // NULLs; both executors implement exactly this convention.
-  const bool global_empty = key_cols.empty() && rows == 0;
-  const size_t groups = global_empty ? 1 : index.num_groups();
-  const auto& group_of_row = index.group_of_row();
-
-  ColumnTable out("agg_" + input.name());
-  for (size_t k = 0; k < key_cols.size(); ++k) {
-    Column keys = Column::I64(key_cols[k]->name());
-    keys.Reserve(groups);
-    for (size_t g = 0; g < groups; ++g) {
-      keys.AppendI64(key_cols[k]->I64At(index.representative_row()[g]));
-    }
-    out.AddColumn(std::move(keys));
-  }
-
-  // Per-group counts, shared by count/avg.
-  std::vector<int64_t> counts(groups, 0);
-  for (size_t r = 0; r < rows; ++r) ++counts[group_of_row[r]];
-
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    const AggExpr& spec = aggs[a];
-    const Column* in = agg_cols[a];
-    const ColumnType in_type =
-        in == nullptr ? ColumnType::kI64 : in->type();
-    Column result(spec.OutputName(), AggOutputType(spec.fn, in_type));
-    result.Resize(groups);
-    switch (spec.fn) {
-      case AggFn::kCount: {
-        for (size_t g = 0; g < groups; ++g) result.I64At(g) = counts[g];
-        break;
-      }
-      case AggFn::kSum: {
-        if (in_type == ColumnType::kI64) {
-          // Unsigned accumulation: overflow-adjacent data wraps mod 2^64
-          // (defined, and congruent to the signed sum) instead of UB.
-          std::vector<uint64_t> sums(groups, 0);
-          const int64_t* v = in->i64_data();
-          for (size_t r = 0; r < rows; ++r) {
-            sums[group_of_row[r]] += static_cast<uint64_t>(v[r]);
-          }
-          for (size_t g = 0; g < groups; ++g) {
-            result.I64At(g) = static_cast<int64_t>(sums[g]);
-          }
-        } else {
-          // Row-order accumulation: the defined (and bit-reproducible)
-          // semantics of SUM over doubles.
-          std::vector<double> sums(groups, 0.0);
-          const double* v = in->f64_data();
-          for (size_t r = 0; r < rows; ++r) sums[group_of_row[r]] += v[r];
-          for (size_t g = 0; g < groups; ++g) result.F64At(g) = sums[g];
-        }
-        break;
-      }
-      case AggFn::kAvg: {
-        if (in_type == ColumnType::kI64) {
-          std::vector<uint64_t> sums(groups, 0);
-          const int64_t* v = in->i64_data();
-          for (size_t r = 0; r < rows; ++r) {
-            sums[group_of_row[r]] += static_cast<uint64_t>(v[r]);
-          }
-          for (size_t g = 0; g < groups; ++g) {
-            result.F64At(g) =
-                counts[g] == 0
-                    ? 0.0
-                    : static_cast<double>(static_cast<int64_t>(sums[g])) /
-                          static_cast<double>(counts[g]);
-          }
-        } else {
-          std::vector<double> sums(groups, 0.0);
-          const double* v = in->f64_data();
-          for (size_t r = 0; r < rows; ++r) sums[group_of_row[r]] += v[r];
-          for (size_t g = 0; g < groups; ++g) {
-            result.F64At(g) = counts[g] == 0
-                                  ? 0.0
-                                  : sums[g] / static_cast<double>(counts[g]);
-          }
-        }
-        break;
-      }
-      case AggFn::kMin:
-      case AggFn::kMax: {
-        const bool is_min = spec.fn == AggFn::kMin;
-        if (in_type == ColumnType::kI64) {
-          std::vector<int64_t> best(groups, 0);
-          std::vector<bool> seen(groups, false);
-          const int64_t* v = in->i64_data();
-          for (size_t r = 0; r < rows; ++r) {
-            const uint32_t g = group_of_row[r];
-            if (!seen[g] || (is_min ? v[r] < best[g] : v[r] > best[g])) {
-              best[g] = v[r];
-              seen[g] = true;
-            }
-          }
-          for (size_t g = 0; g < groups; ++g) result.I64At(g) = best[g];
-        } else {
-          std::vector<double> best(groups, 0.0);
-          std::vector<bool> seen(groups, false);
-          const double* v = in->f64_data();
-          for (size_t r = 0; r < rows; ++r) {
-            const uint32_t g = group_of_row[r];
-            if (!seen[g] || (is_min ? v[r] < best[g] : v[r] > best[g])) {
-              best[g] = v[r];
-              seen[g] = true;
-            }
-          }
-          for (size_t g = 0; g < groups; ++g) result.F64At(g) = best[g];
-        }
-        break;
-      }
-    }
-    out.AddColumn(std::move(result));
-  }
-  return out;
-}
-
-common::Result<ColumnTable> RealExecutor::ExecSort(const PlanNode& node,
-                                                   ColumnTable input) const {
-  std::vector<const Column*> sort_cols;
-  for (const std::string& name : node.columns) {
-    const Column* c = input.FindColumn(name);
-    if (c == nullptr) return MissingColumn(name, "sort input");
-    sort_cols.push_back(c);
-  }
-  const size_t rows = input.num_rows();
-  common::AlignedBuffer<uint32_t> order(rows);
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     for (const Column* c : sort_cols) {
-                       if (c->type() == ColumnType::kI64) {
-                         if (c->I64At(a) != c->I64At(b)) {
-                           return c->I64At(a) < c->I64At(b);
-                         }
-                       } else {
-                         if (c->F64At(a) != c->F64At(b)) {
-                           return c->F64At(a) < c->F64At(b);
-                         }
-                       }
-                     }
-                     return false;
-                   });
-  common::ThreadPool& pool = options_.pool != nullptr
-                                 ? *options_.pool
-                                 : common::ThreadPool::Global();
-  ColumnTable out(input.name());
-  for (const Column& c : input.columns()) {
-    Column gathered;
-    GatherColumn(c, order.data(), rows, pool, &gathered);
-    out.AddColumn(std::move(gathered));
-  }
-  return out;
-}
-
-common::Result<ColumnTable> RealExecutor::ExecUnion(const PlanNode& node,
-                                                    ColumnTable left,
-                                                    ColumnTable right) const {
-  (void)node;
-  if (left.num_columns() != right.num_columns()) {
-    return common::Status::InvalidArgument("union schema mismatch");
-  }
-  for (size_t i = 0; i < left.num_columns(); ++i) {
-    if (left.ColumnAt(i).name() != right.ColumnAt(i).name() ||
-        left.ColumnAt(i).type() != right.ColumnAt(i).type()) {
-      return common::Status::InvalidArgument("union schema mismatch");
-    }
-  }
-  ColumnTable out(left.name());
-  for (size_t i = 0; i < left.num_columns(); ++i) {
-    Column c = left.ColumnAt(i);
-    const Column& rc = right.ColumnAt(i);
-    for (size_t r = 0; r < rc.size(); ++r) c.AppendFrom(rc, r);
-    out.AddColumn(std::move(c));
-  }
-  return out;
+common::Result<ExecResult> RealExecutor::Execute(
+    const PlanNode& plan, telemetry::Tracer* tracer,
+    telemetry::SpanId parent) const {
+  ExecResult result;
+  ExecContext ctx;
+  ctx.store = store_;
+  ctx.pool =
+      options_.pool != nullptr ? options_.pool : &common::ThreadPool::Global();
+  ctx.hash_seed = options_.hash_seed;
+  ctx.tracer = tracer;
+  ctx.start_time = Now();
+  ctx.operators = &result.operators;
+  auto view = Exec(plan, ctx, parent);
+  if (!view.ok()) return view.status();
+  result.table = Materialize(*view, *ctx.pool);
+  result.total_seconds = Now() - ctx.start_time;
+  return result;
 }
 
 }  // namespace ads::engine

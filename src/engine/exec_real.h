@@ -26,7 +26,10 @@ struct OperatorStats {
   /// actual cardinality lines up without re-walking the plan.
   double est_card = 0.0;
   double true_card = 0.0;
-  /// Measured wall-clock seconds for this operator.
+  /// Measured wall-clock seconds of this operator's own work, children
+  /// excluded. Operators hand on views, not copies (see RealExecutor), so
+  /// a scan reads ≈0 and the final gather of the result's values is not
+  /// any operator's: it counts only in ExecResult::total_seconds.
   double seconds = 0.0;
 };
 
@@ -47,7 +50,18 @@ struct RealExecOptions {
   uint64_t hash_seed = 0x8f3a96cd15ce1bd3ull;
 };
 
-/// Vectorized columnar executor over a TableStore.
+/// Vectorized, late-materializing columnar executor over a TableStore.
+///
+/// Operators pass a relation *view*, not a materialized table: a list of
+/// column pointers (borrowed from the TableStore, or owned by an aggregate
+/// or union output) plus one shared uint32 row index per input side, null
+/// meaning identity. Scan borrows the stored columns; Filter turns its
+/// bitmap into a selection and composes each side's index with it; Project
+/// narrows the pointer list; Join emits left_index∘probe_idx and
+/// right_index∘build_idx; Sort composes its stable order; Aggregate reads
+/// through the indexes and produces owned columns. Only Union and the
+/// root gather values — the root only for the columns of its output
+/// schema, so a column no operator above a scan needs is never copied.
 ///
 /// Supported plan shapes: Scan (with optional ProjectIntoScan column
 /// narrowing), Filter, Project, inner equi-Join on i64 keys, Aggregate
@@ -74,25 +88,6 @@ class RealExecutor {
       telemetry::SpanId parent = telemetry::kNoSpan) const;
 
  private:
-  struct ExecContext;
-  common::Result<ColumnTable> Exec(const PlanNode& node, ExecContext& ctx,
-                                   telemetry::SpanId parent) const;
-  common::Result<ColumnTable> ExecScan(const PlanNode& node) const;
-  common::Result<ColumnTable> ExecFilter(const PlanNode& node,
-                                         ColumnTable input) const;
-  common::Result<ColumnTable> ExecProject(const PlanNode& node,
-                                          ColumnTable input) const;
-  common::Result<ColumnTable> ExecJoin(const PlanNode& node,
-                                       ColumnTable left,
-                                       ColumnTable right) const;
-  common::Result<ColumnTable> ExecAggregate(const PlanNode& node,
-                                            ColumnTable input) const;
-  common::Result<ColumnTable> ExecSort(const PlanNode& node,
-                                       ColumnTable input) const;
-  common::Result<ColumnTable> ExecUnion(const PlanNode& node,
-                                        ColumnTable left,
-                                        ColumnTable right) const;
-
   const TableStore* store_;
   RealExecOptions options_;
 };

@@ -8,51 +8,81 @@ namespace ads::engine {
 
 namespace {
 
-template <typename T, typename Cmp>
-void FillBitmapTyped(const T* values, size_t rows, double literal, Cmp cmp,
-                     common::ThreadPool& pool, uint64_t* bits) {
-  const size_t words = BitmapWords(rows);
-  common::parallel_for(
-      pool, 0, words, kBitmapGrain / 64, [&](size_t w0, size_t w1) {
-        for (size_t w = w0; w < w1; ++w) {
-          const size_t row0 = w * 64;
-          const size_t row1 = std::min(rows, row0 + 64);
-          uint64_t word = 0;
-          for (size_t r = row0; r < row1; ++r) {
-            word |= static_cast<uint64_t>(
-                        cmp(static_cast<double>(values[r]), literal))
-                    << (r - row0);
-          }
-          bits[w] = word;
-        }
-      });
+/// Row accessors. Each kernel is instantiated once for a column read in
+/// place and once for a column read through a row index, so the identity
+/// case pays no index load.
+struct DirectRows {
+  size_t operator()(size_t r) const { return r; }
+};
+struct IndexedRows {
+  const uint32_t* index;
+  size_t operator()(size_t r) const { return index[r]; }
+};
+
+template <typename Fn>
+void WithRows(const uint32_t* index, Fn&& fn) {
+  if (index == nullptr) {
+    fn(DirectRows{});
+  } else {
+    fn(IndexedRows{index});
+  }
 }
 
-template <typename T>
-void FillBitmap(const T* values, size_t rows, CompareOp op, double literal,
-                common::ThreadPool& pool, uint64_t* bits) {
+/// Calls kernel(values, row, cmp) with the column's typed values, its row
+/// accessor and `op` as a comparison on doubles: one instantiation per
+/// (type, accessor, op), so the row loops carry no dispatch.
+template <typename Kernel>
+void WithPredicate(const ColumnRef& col, CompareOp op, Kernel&& kernel) {
+  auto with_cmp = [&](auto cmp) {
+    WithRows(col.index, [&](auto row) {
+      if (col.column->type() == ColumnType::kI64) {
+        kernel(col.column->i64_data(), row, cmp);
+      } else {
+        kernel(col.column->f64_data(), row, cmp);
+      }
+    });
+  };
   switch (op) {
     case CompareOp::kLess:
-      FillBitmapTyped(values, rows, literal,
-                      [](double a, double b) { return a < b; }, pool, bits);
-      return;
+      return with_cmp([](double a, double b) { return a < b; });
     case CompareOp::kLessEqual:
-      FillBitmapTyped(values, rows, literal,
-                      [](double a, double b) { return a <= b; }, pool, bits);
-      return;
+      return with_cmp([](double a, double b) { return a <= b; });
     case CompareOp::kEqual:
-      FillBitmapTyped(values, rows, literal,
-                      [](double a, double b) { return a == b; }, pool, bits);
-      return;
+      return with_cmp([](double a, double b) { return a == b; });
     case CompareOp::kGreater:
-      FillBitmapTyped(values, rows, literal,
-                      [](double a, double b) { return a > b; }, pool, bits);
-      return;
+      return with_cmp([](double a, double b) { return a > b; });
     case CompareOp::kGreaterEqual:
-      FillBitmapTyped(values, rows, literal,
-                      [](double a, double b) { return a >= b; }, pool, bits);
-      return;
+      return with_cmp([](double a, double b) { return a >= b; });
   }
+}
+
+/// One bit per row in [row0, row1): `value <cmp> literal`.
+template <typename T, typename RowOf, typename Cmp>
+uint64_t PredicateWord(const T* values, RowOf row, size_t row0, size_t row1,
+                       double literal, Cmp cmp) {
+  uint64_t word = 0;
+  for (size_t r = row0; r < row1; ++r) {
+    word |= static_cast<uint64_t>(
+                cmp(static_cast<double>(values[row(r)]), literal))
+            << (r - row0);
+  }
+  return word;
+}
+
+/// A word with at most this many rows still set is refined one set bit at
+/// a time instead of testing all 64 rows.
+constexpr int kSparseWordBits = 32;
+
+template <typename T>
+void GatherTyped(const T* src, const uint32_t* index, size_t n,
+                 common::ThreadPool& pool, T* dst) {
+  if (index == nullptr) {
+    std::copy(src, src + n, dst);
+    return;
+  }
+  common::parallel_for(pool, 0, n, kGatherGrain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) dst[i] = src[index[i]];
+  });
 }
 
 size_t NextPow2(size_t n) {
@@ -63,191 +93,256 @@ size_t NextPow2(size_t n) {
 
 }  // namespace
 
-void PredicateBitmap(const Column& col, CompareOp op, double value,
-                     common::ThreadPool& pool, uint64_t* bits) {
-  const size_t rows = col.size();
-  if (col.type() == ColumnType::kI64) {
-    FillBitmap(col.i64_data(), rows, op, value, pool, bits);
-  } else {
-    FillBitmap(col.f64_data(), rows, op, value, pool, bits);
-  }
+void PredicateBitmap(const ColumnRef& col, size_t rows, CompareOp op,
+                     double literal, common::ThreadPool& pool,
+                     uint64_t* bits) {
+  WithPredicate(col, op, [&](const auto* values, auto row, auto cmp) {
+    common::parallel_for(
+        pool, 0, BitmapWords(rows), kBitmapGrain / 64,
+        [&](size_t w0, size_t w1) {
+          for (size_t w = w0; w < w1; ++w) {
+            bits[w] = PredicateWord(values, row, w * 64,
+                                    std::min(rows, w * 64 + 64), literal, cmp);
+          }
+        });
+  });
 }
 
-void BitmapAndInPlace(uint64_t* acc, const uint64_t* other, size_t words) {
-  for (size_t w = 0; w < words; ++w) acc[w] &= other[w];
+void PredicateBitmapAnd(const ColumnRef& col, size_t rows, CompareOp op,
+                        double literal, common::ThreadPool& pool,
+                        uint64_t* bits) {
+  WithPredicate(col, op, [&](const auto* values, auto row, auto cmp) {
+    common::parallel_for(
+        pool, 0, BitmapWords(rows), kBitmapGrain / 64,
+        [&](size_t w0, size_t w1) {
+          for (size_t w = w0; w < w1; ++w) {
+            const size_t row0 = w * 64;
+            uint64_t keep = bits[w];
+            if (__builtin_popcountll(keep) > kSparseWordBits) {
+              bits[w] = keep & PredicateWord(values, row, row0,
+                                             std::min(rows, row0 + 64),
+                                             literal, cmp);
+              continue;
+            }
+            for (uint64_t todo = keep; todo != 0; todo &= todo - 1) {
+              const int bit = __builtin_ctzll(todo);
+              const bool pass =
+                  cmp(static_cast<double>(values[row(row0 + bit)]), literal);
+              keep &= ~(static_cast<uint64_t>(!pass) << bit);
+            }
+            bits[w] = keep;
+          }
+        });
+  });
 }
 
 size_t BitmapToSelection(const uint64_t* bits, size_t rows,
                          common::AlignedBuffer<uint32_t>* sel) {
-  sel->clear();
   const size_t words = BitmapWords(rows);
-  for (size_t w = 0; w < words; ++w) {
+  // Mask padding bits in the tail word: rows beyond `rows` never exist,
+  // whatever a caller's AND/OR left in the high bits.
+  auto word_at = [&](size_t w) {
     uint64_t word = bits[w];
-    // Mask padding bits in the tail word: rows beyond `rows` never exist,
-    // whatever a caller's AND/OR left in the high bits.
     if (w == words - 1 && (rows % 64) != 0) {
       word &= (uint64_t{1} << (rows % 64)) - 1;
     }
+    return word;
+  };
+  size_t count = 0;
+  for (size_t w = 0; w < words; ++w) {
+    count += static_cast<size_t>(__builtin_popcountll(word_at(w)));
+  }
+  sel->clear();
+  sel->EnsureCapacity(count);
+  uint32_t* out = sel->data();
+  size_t at = 0;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t word = word_at(w);
     while (word != 0) {
       const int bit = __builtin_ctzll(word);
-      sel->push_back(static_cast<uint32_t>(w * 64 + static_cast<size_t>(bit)));
+      out[at++] = static_cast<uint32_t>(w * 64 + static_cast<size_t>(bit));
       word &= word - 1;
     }
   }
-  return sel->size();
+  return count;
 }
 
-void GatherColumn(const Column& src, const uint32_t* sel, size_t n,
-                  common::ThreadPool& pool, Column* out) {
-  *out = Column(src.name(), src.type());
-  out->Resize(n);
-  if (src.type() == ColumnType::kI64) {
-    const int64_t* in = src.i64_data();
-    int64_t* dst = out->i64_data();
-    common::parallel_for(pool, 0, n, kGatherGrain,
-                         [&](size_t lo, size_t hi) {
-                           for (size_t i = lo; i < hi; ++i) {
-                             dst[i] = in[sel[i]];
-                           }
-                         });
+void ComposeIndex(const uint32_t* outer, const uint32_t* sel, size_t n,
+                  common::ThreadPool& pool,
+                  common::AlignedBuffer<uint32_t>* out) {
+  out->clear();
+  out->EnsureCapacity(n);
+  GatherTyped(outer, sel, n, pool, out->data());
+}
+
+void GatherColumn(const ColumnRef& src, size_t n, common::ThreadPool& pool,
+                  Column* out, size_t at) {
+  ADS_CHECK(out->type() == src.column->type() && out->size() >= at + n)
+      << "gather target " << out->name() << " cannot take " << n
+      << " rows at " << at;
+  if (src.column->type() == ColumnType::kI64) {
+    GatherTyped(src.column->i64_data(), src.index, n, pool,
+                out->i64_data() + at);
   } else {
-    const double* in = src.f64_data();
-    double* dst = out->f64_data();
-    common::parallel_for(pool, 0, n, kGatherGrain,
-                         [&](size_t lo, size_t hi) {
-                           for (size_t i = lo; i < hi; ++i) {
-                             dst[i] = in[sel[i]];
-                           }
-                         });
+    GatherTyped(src.column->f64_data(), src.index, n, pool,
+                out->f64_data() + at);
   }
 }
 
-void JoinHashTable::Build(const Column& keys, uint64_t seed) {
-  ADS_CHECK(keys.type() == ColumnType::kI64)
-      << "join keys must be i64: " << keys.name();
+void JoinHashTable::Build(const ColumnRef& keys, size_t rows, uint64_t seed) {
+  ADS_CHECK(keys.column->type() == ColumnType::kI64)
+      << "join keys must be i64: " << keys.column->name();
   seed_ = seed;
-  const size_t n = keys.size();
-  keys_.resize(n);
-  for (size_t i = 0; i < n; ++i) keys_[i] = keys.I64At(i);
-  const size_t buckets = NextPow2(std::max<size_t>(16, 2 * n));
+  keys_.clear();
+  keys_.EnsureCapacity(rows);
+  const int64_t* v = keys.column->i64_data();
+  WithRows(keys.index, [&](auto row) {
+    for (size_t i = 0; i < rows; ++i) keys_[i] = v[row(i)];
+  });
+  const size_t buckets = NextPow2(std::max<size_t>(16, 2 * rows));
   mask_ = buckets - 1;
-  heads_.resize(buckets);
-  for (size_t b = 0; b < buckets; ++b) heads_[b] = -1;
-  next_.resize(n);
+  heads_.clear();
+  heads_.EnsureCapacity(buckets);
+  std::fill(heads_.begin(), heads_.end(), -1);
+  next_.clear();
+  next_.EnsureCapacity(rows);
   // Insert back to front with push-front chaining, so every chain lists
   // build rows in ascending order — the probe then emits matches in the
   // same order a front-to-back nested loop would.
-  for (size_t i = n; i-- > 0;) {
+  for (size_t i = rows; i-- > 0;) {
     const size_t bucket = HashJoinKey(keys_[i], seed_) & mask_;
     next_[i] = heads_[bucket];
     heads_[bucket] = static_cast<int32_t>(i);
   }
 }
 
-void JoinHashTable::Probe(const Column& probe_keys, common::ThreadPool& pool,
+void JoinHashTable::Probe(const ColumnRef& probe_keys, size_t rows,
+                          common::ThreadPool& pool,
                           common::AlignedBuffer<uint32_t>* probe_idx,
                           common::AlignedBuffer<uint32_t>* build_idx) const {
-  ADS_CHECK(probe_keys.type() == ColumnType::kI64)
-      << "join keys must be i64: " << probe_keys.name();
-  const size_t n = probe_keys.size();
-  const int64_t* probe = probe_keys.i64_data();
+  ADS_CHECK(probe_keys.column->type() == ColumnType::kI64)
+      << "join keys must be i64: " << probe_keys.column->name();
+  const int64_t* probe = probe_keys.column->i64_data();
   probe_idx->clear();
   build_idx->clear();
-  if (n == 0 || keys_.empty()) return;
+  if (rows == 0 || keys_.empty()) return;
 
-  // Pass 1: matches per fixed-grain chunk.
-  const size_t num_chunks = (n + kProbeGrain - 1) / kProbeGrain;
-  std::vector<uint64_t> chunk_matches(num_chunks, 0);
-  common::parallel_for(
-      pool, 0, n, kProbeGrain, [&](size_t lo, size_t hi) {
-        uint64_t count = 0;
-        for (size_t i = lo; i < hi; ++i) {
-          const int64_t key = probe[i];
-          for (int32_t e = heads_[HashJoinKey(key, seed_) & mask_]; e >= 0;
-               e = next_[static_cast<size_t>(e)]) {
-            count += keys_[static_cast<size_t>(e)] == key;
+  WithRows(probe_keys.index, [&](auto row) {
+    // Pass 1: each row's first match (or -1), and matches per fixed-grain
+    // chunk.
+    common::AlignedBuffer<int32_t> first;
+    first.EnsureCapacity(rows);
+    const size_t num_chunks = (rows + kProbeGrain - 1) / kProbeGrain;
+    std::vector<uint64_t> chunk_offset(num_chunks + 1, 0);
+    common::parallel_for(
+        pool, 0, rows, kProbeGrain, [&](size_t lo, size_t hi) {
+          uint64_t count = 0;
+          for (size_t i = lo; i < hi; ++i) {
+            const int64_t key = probe[row(i)];
+            int32_t match = -1;
+            for (int32_t e = heads_[HashJoinKey(key, seed_) & mask_]; e >= 0;
+                 e = next_[static_cast<size_t>(e)]) {
+              if (keys_[static_cast<size_t>(e)] == key) {
+                if (match < 0) match = e;
+                ++count;
+              }
+            }
+            first[i] = match;
           }
-        }
-        chunk_matches[lo / kProbeGrain] = count;
-      });
+          chunk_offset[lo / kProbeGrain + 1] = count;
+        });
 
-  // Exclusive prefix over chunks gives each chunk a disjoint output range.
-  std::vector<uint64_t> chunk_offset(num_chunks + 1, 0);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_offset[c + 1] = chunk_offset[c] + chunk_matches[c];
-  }
-  const size_t total = static_cast<size_t>(chunk_offset[num_chunks]);
-  probe_idx->resize(total);
-  build_idx->resize(total);
-  uint32_t* out_probe = probe_idx->data();
-  uint32_t* out_build = build_idx->data();
+    // Inclusive prefix over chunks gives each chunk a disjoint output
+    // range starting at chunk_offset[chunk].
+    for (size_t c = 0; c < num_chunks; ++c) {
+      chunk_offset[c + 1] += chunk_offset[c];
+    }
+    const auto total = static_cast<size_t>(chunk_offset[num_chunks]);
+    probe_idx->EnsureCapacity(total);
+    build_idx->EnsureCapacity(total);
+    uint32_t* out_probe = probe_idx->data();
+    uint32_t* out_build = build_idx->data();
 
-  // Pass 2: fill.
-  common::parallel_for(
-      pool, 0, n, kProbeGrain, [&](size_t lo, size_t hi) {
-        size_t at = static_cast<size_t>(chunk_offset[lo / kProbeGrain]);
-        for (size_t i = lo; i < hi; ++i) {
-          const int64_t key = probe[i];
-          for (int32_t e = heads_[HashJoinKey(key, seed_) & mask_]; e >= 0;
-               e = next_[static_cast<size_t>(e)]) {
-            if (keys_[static_cast<size_t>(e)] == key) {
-              out_probe[at] = static_cast<uint32_t>(i);
-              out_build[at] = static_cast<uint32_t>(e);
-              ++at;
+    // Pass 2: fill, walking on from each row's first match — no row is
+    // hashed twice.
+    common::parallel_for(
+        pool, 0, rows, kProbeGrain, [&](size_t lo, size_t hi) {
+          auto at = static_cast<size_t>(chunk_offset[lo / kProbeGrain]);
+          for (size_t i = lo; i < hi; ++i) {
+            int32_t e = first[i];
+            if (e < 0) continue;
+            const int64_t key = probe[row(i)];
+            for (; e >= 0; e = next_[static_cast<size_t>(e)]) {
+              if (keys_[static_cast<size_t>(e)] == key) {
+                out_probe[at] = static_cast<uint32_t>(i);
+                out_build[at] = static_cast<uint32_t>(e);
+                ++at;
+              }
             }
           }
-        }
-      });
+        });
+  });
 }
 
-void GroupIndex::Build(const std::vector<const Column*>& keys, size_t rows,
+void GroupIndex::Build(const std::vector<ColumnRef>& keys, size_t rows,
                        uint64_t seed) {
-  group_of_row_.resize(rows);
+  group_of_row_.clear();
+  group_of_row_.EnsureCapacity(rows);
   representative_row_.clear();
   if (keys.empty()) {
-    for (size_t r = 0; r < rows; ++r) group_of_row_[r] = 0;
+    std::fill(group_of_row_.begin(), group_of_row_.end(), 0u);
     if (rows > 0) representative_row_.push_back(0);
     return;
   }
-  for (const Column* k : keys) {
-    ADS_CHECK(k->type() == ColumnType::kI64)
-        << "group keys must be i64: " << k->name();
-    ADS_CHECK(k->size() == rows) << "group key size mismatch";
+  for (const ColumnRef& k : keys) {
+    ADS_CHECK(k.column->type() == ColumnType::kI64)
+        << "group keys must be i64: " << k.column->name();
   }
-  // Open-addressing table of group representatives, linear probing.
+  // Open-addressing table of group ids, linear probing, sized so that
+  // every row could open its own group. Ids are handed out in first-seen
+  // order, whatever bucket a key hashes to.
   const size_t buckets = NextPow2(std::max<size_t>(16, 2 * rows));
   const size_t mask = buckets - 1;
   std::vector<int32_t> slot_group(buckets, -1);
-  auto row_hash = [&](size_t r) {
-    uint64_t h = seed;
-    for (const Column* k : keys) {
-      h = HashJoinKey(k->I64At(r), h);
-    }
-    return h;
-  };
-  auto rows_equal = [&](size_t a, size_t b) {
-    for (const Column* k : keys) {
-      if (k->I64At(a) != k->I64At(b)) return false;
-    }
-    return true;
-  };
-  for (size_t r = 0; r < rows; ++r) {
-    size_t slot = row_hash(r) & mask;
-    for (;;) {
+  auto find_or_add = [&](size_t r, uint64_t h, auto&& same_key) {
+    for (size_t slot = h & mask;; slot = (slot + 1) & mask) {
       const int32_t g = slot_group[slot];
       if (g < 0) {
         const auto group = static_cast<uint32_t>(representative_row_.size());
         slot_group[slot] = static_cast<int32_t>(group);
         representative_row_.push_back(static_cast<uint32_t>(r));
-        group_of_row_[r] = group;
-        break;
+        return group;
       }
-      if (rows_equal(r, representative_row_[static_cast<size_t>(g)])) {
-        group_of_row_[r] = static_cast<uint32_t>(g);
-        break;
-      }
-      slot = (slot + 1) & mask;
+      if (same_key(static_cast<uint32_t>(g))) return static_cast<uint32_t>(g);
     }
+  };
+  if (keys.size() == 1) {
+    // One key, the common shape, without the per-key loops: each group
+    // keeps its key value, so a probe compares against a value at hand.
+    const int64_t* v = keys[0].column->i64_data();
+    std::vector<int64_t> group_key;
+    WithRows(keys[0].index, [&](auto row) {
+      for (size_t r = 0; r < rows; ++r) {
+        const int64_t key = v[row(r)];
+        const uint32_t g =
+            find_or_add(r, HashJoinKey(key, seed),
+                        [&](uint32_t group) { return group_key[group] == key; });
+        if (g == group_key.size()) group_key.push_back(key);
+        group_of_row_[r] = g;
+      }
+    });
+    return;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    uint64_t h = seed;
+    for (const ColumnRef& k : keys) h = HashJoinKey(k.I64(r), h);
+    group_of_row_[r] = find_or_add(r, h, [&](uint32_t group) {
+      const uint32_t first = representative_row_[group];
+      for (const ColumnRef& k : keys) {
+        if (k.I64(r) != k.I64(first)) return false;
+      }
+      return true;
+    });
   }
 }
 

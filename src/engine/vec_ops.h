@@ -12,13 +12,17 @@
 namespace ads::engine {
 
 /// Vectorized operator kernels: predicate bitmaps, selection vectors,
-/// gathers, a seeded hash-join table and a grouped-aggregation index.
-/// All kernels are deterministic and thread-count invariant: parallel
-/// sections use fixed grains on ThreadPool::ParallelFor (whose chunk
-/// boundaries never depend on the worker count), and every floating-point
-/// reduction happens sequentially in input row order. The differential
-/// harness exploits this: vectorized output must equal the row-at-a-time
-/// reference executor bit for bit.
+/// row-index composition, value gathers, a seeded hash-join table and a
+/// grouped-aggregation index. All kernels are deterministic and
+/// thread-count invariant: parallel sections use fixed grains on
+/// ThreadPool::ParallelFor (whose chunk boundaries never depend on the
+/// worker count), and every floating-point reduction happens sequentially
+/// in input row order. The differential harness exploits this: vectorized
+/// output must equal the row-at-a-time reference executor bit for bit.
+///
+/// Kernels read their inputs as (values, row index) pairs — a ColumnRef —
+/// so an operator can work on a column it never copied: row r of the
+/// relation is the column's row index[r].
 
 /// Fixed chunk grains (rows). kBitmapGrain is a multiple of 64 so no two
 /// chunks ever touch the same bitmap word.
@@ -26,40 +30,64 @@ inline constexpr size_t kBitmapGrain = 4096;
 inline constexpr size_t kGatherGrain = 8192;
 inline constexpr size_t kProbeGrain = 2048;
 
-/// Seeded FNV-1a over the key's 8 bytes, finished with a murmur3-style
-/// mixer for avalanche on the low bits (bucket indices are low-bit masks).
+/// murmur3's fmix64 finalizer over key ^ seed, for avalanche on the low
+/// bits (bucket indices are low-bit masks). The seed picks buckets only:
+/// chains and groups keep a defined order whatever it is.
 inline uint64_t HashJoinKey(int64_t key, uint64_t seed) {
-  uint64_t h = seed ^ 14695981039346656037ull;
-  uint64_t k = static_cast<uint64_t>(key);
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (k >> (byte * 8)) & 0xffull;
-    h *= 1099511628211ull;
-  }
+  uint64_t h = static_cast<uint64_t>(key) ^ seed;
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
   h ^= h >> 33;
   return h;
 }
 
+/// A column read through a row index: row r is `column` row index[r], or
+/// row r itself when `index` is nullptr (the identity — a stored column
+/// read in place).
+struct ColumnRef {
+  const Column* column = nullptr;
+  const uint32_t* index = nullptr;
+
+  size_t Row(size_t r) const { return index == nullptr ? r : index[r]; }
+  int64_t I64(size_t r) const { return column->I64At(Row(r)); }
+  double F64(size_t r) const { return column->F64At(Row(r)); }
+};
+
 /// Number of 64-bit words a bitmap over `rows` rows needs.
 inline size_t BitmapWords(size_t rows) { return (rows + 63) / 64; }
 
-/// Fills `bits` (BitmapWords(col.size()) words) with one bit per row:
-/// 1 where `col <op> value` holds. Parallel over word-aligned chunks.
-void PredicateBitmap(const Column& col, CompareOp op, double value,
-                     common::ThreadPool& pool, uint64_t* bits);
+/// Fills `bits` (BitmapWords(rows) words) with one bit per row of `col`:
+/// 1 where `value <op> literal` holds. Parallel over word-aligned chunks.
+void PredicateBitmap(const ColumnRef& col, size_t rows, CompareOp op,
+                     double literal, common::ThreadPool& pool,
+                     uint64_t* bits);
 
-/// acc &= other over `words` words.
-void BitmapAndInPlace(uint64_t* acc, const uint64_t* other, size_t words);
+/// bits &= the bitmap PredicateBitmap would fill, evaluating the
+/// predicate only for rows still set: a word with few set bits is tested
+/// one set bit at a time. `bits` must have no bit set past `rows`, as
+/// PredicateBitmap leaves it.
+void PredicateBitmapAnd(const ColumnRef& col, size_t rows, CompareOp op,
+                        double literal, common::ThreadPool& pool,
+                        uint64_t* bits);
 
-/// Expands a bitmap into a selection vector of row indices (ascending).
-/// Returns the number of selected rows.
+/// Expands a bitmap into a selection vector of row indices (ascending),
+/// sized exactly (one popcount pass, then one fill). Returns the number
+/// of selected rows.
 size_t BitmapToSelection(const uint64_t* bits, size_t rows,
                          common::AlignedBuffer<uint32_t>* sel);
 
-/// out[i] = src[sel[i]] for i in [0, n). `out` keeps src's name and type.
-void GatherColumn(const Column& src, const uint32_t* sel, size_t n,
-                  common::ThreadPool& pool, Column* out);
+/// out[i] = outer[sel[i]] for i in [0, n): composes a row index with a
+/// selection of its rows. A uint32 gather; no column value moves.
+void ComposeIndex(const uint32_t* outer, const uint32_t* sel, size_t n,
+                  common::ThreadPool& pool,
+                  common::AlignedBuffer<uint32_t>* out);
+
+/// out[at + i] = src row i for i in [0, n): the value gather. `out` must
+/// already have src's type and at least at + n rows.
+void GatherColumn(const ColumnRef& src, size_t n, common::ThreadPool& pool,
+                  Column* out, size_t at);
 
 /// Hash-join build/probe over i64 keys, bucket-chained. Matches for one
 /// probe row come out in ascending build-row order (the chains are built
@@ -67,18 +95,20 @@ void GatherColumn(const Column& src, const uint32_t* sel, size_t n,
 /// nested-loop order the reference executor produces.
 class JoinHashTable {
  public:
-  /// Builds over the build side's key column (i64). `seed` selects the
-  /// hash stream — the executor's hashing seed policy is one fixed seed
-  /// per plan execution, so rebuilding the same plan is bit-identical.
-  void Build(const Column& keys, uint64_t seed);
+  /// Builds over `rows` rows of the build side's key column (i64). `seed`
+  /// selects the hash stream — the executor's hashing seed policy is one
+  /// fixed seed per executor, so rebuilding the same plan is bit-identical.
+  void Build(const ColumnRef& keys, size_t rows, uint64_t seed);
 
   size_t build_rows() const { return keys_.size(); }
 
-  /// Probes with `probe_keys` in row order and appends every match as a
-  /// (probe_row, build_row) pair, probe-major, build ascending within a
-  /// probe row. Deterministic two-pass parallel: per-chunk match counts,
-  /// exclusive prefix, then disjoint writes.
-  void Probe(const Column& probe_keys, common::ThreadPool& pool,
+  /// Probes with `rows` rows of `probe_keys` in row order and appends
+  /// every match as a (probe_row, build_row) pair, probe-major, build
+  /// ascending within a probe row. Deterministic two-pass parallel:
+  /// per-chunk match counts (remembering each row's first match), a
+  /// prefix over chunks, then disjoint writes.
+  void Probe(const ColumnRef& probe_keys, size_t rows,
+             common::ThreadPool& pool,
              common::AlignedBuffer<uint32_t>* probe_idx,
              common::AlignedBuffer<uint32_t>* build_idx) const;
 
@@ -97,8 +127,7 @@ class JoinHashTable {
 class GroupIndex {
  public:
   /// `keys` may be empty: every row lands in group 0 (global aggregate).
-  void Build(const std::vector<const Column*>& keys, size_t rows,
-             uint64_t seed);
+  void Build(const std::vector<ColumnRef>& keys, size_t rows, uint64_t seed);
 
   size_t num_groups() const { return representative_row_.size(); }
   /// Dense group id per input row.

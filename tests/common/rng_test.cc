@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
 #include <vector>
 
 namespace ads::common {
@@ -82,6 +84,43 @@ TEST(RngTest, ZipfIsSkewedTowardSmallIndices) {
   }
   EXPECT_GT(counts[0], counts[4]);
   EXPECT_GT(counts[1], counts[8]);
+}
+
+TEST(RngTest, ZipfTableDrawMatchesLinearScan) {
+  // The inverse-CDF draw as a linear scan over the support — the shape
+  // ZipfTable replaces. Same uniform, same index, on every draw.
+  auto linear_draw = [](Rng& rng, const std::vector<double>& terms) {
+    double total = 0.0;
+    for (double t : terms) total += t;
+    const double u = rng.Uniform(0.0, total);
+    double acc = 0.0;
+    for (size_t k = 0; k < terms.size(); ++k) {
+      acc += terms[k];
+      if (u <= acc) return static_cast<int64_t>(k);
+    }
+    return static_cast<int64_t>(terms.size()) - 1;
+  };
+  const std::vector<std::pair<int64_t, double>> cases = {
+      {1, 0.8}, {2, 0.0}, {25, 0.8}, {1500, 0.5}, {2000, 0.6}, {7, 2.5}};
+  for (const auto& [n, s] : cases) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+    std::vector<double> terms;
+    for (int64_t k = 0; k < n; ++k) terms.push_back(1.0 / std::pow(k + 1, s));
+    const ZipfTable table(n, s);
+    ASSERT_EQ(table.size(), n);
+    const auto seed = 1000 + static_cast<uint64_t>(n);
+    Rng fast(seed);
+    Rng slow(seed);
+    Rng wrapper(seed);
+    for (int i = 0; i < 100000; ++i) {
+      const int64_t want = linear_draw(slow, terms);
+      ASSERT_EQ(table.Draw(fast), want) << "draw " << i;
+      // Rng::Zipf builds a table per call: check its first draws only.
+      if (i < 1000) {
+        ASSERT_EQ(wrapper.Zipf(n, s), want) << "draw " << i;
+      }
+    }
+  }
 }
 
 TEST(RngTest, CategoricalRespectsWeights) {

@@ -4,6 +4,12 @@
 // bit-equal answer — across runs, across ADS_THREADS (CI runs this
 // binary at 1 and 4 threads), and across the two executors.
 //
+// Each template also pins its per-operator accounting (<template>.operators):
+// the post-order (op, detail, rows_in, rows_out) list of OperatorStats for
+// the logical plan and for its RuleConfig::Default() optimization — the
+// identity half of EXPLAIN ANALYZE, which must not move when the executor's
+// internals do.
+//
 // Regenerate after an intentional semantics change:
 //   ADS_UPDATE_GOLDENS=1 ctest --test-dir build -R engine_exec_golden_test
 
@@ -17,7 +23,9 @@
 
 #include "common/thread_pool.h"
 #include "engine/exec_real.h"
+#include "engine/optimizer.h"
 #include "engine/reference_exec.h"
+#include "engine/rules.h"
 #include "engine/table.h"
 #include "workload/tpch_gen.h"
 
@@ -48,6 +56,17 @@ void CheckGolden(const std::string& name, const std::string& got) {
       << "; if intentional, regenerate with ADS_UPDATE_GOLDENS=1";
 }
 
+/// One line per operator, post-order, tab-separated. Timing is left out:
+/// only the deterministic identity of each operator is pinned.
+std::string OperatorLines(const ExecResult& result) {
+  std::ostringstream os;
+  for (const OperatorStats& op : result.operators) {
+    os << OpTypeName(op.op) << "\t" << op.detail << "\t" << op.rows_in
+       << "\t" << op.rows_out << "\n";
+  }
+  return os.str();
+}
+
 TEST(ExecGoldenTest, TpchTemplateAnswersAreByteStable) {
   workload::TpchGenOptions opts;
   opts.scale_factor = 0.02;
@@ -59,6 +78,7 @@ TEST(ExecGoldenTest, TpchTemplateAnswersAreByteStable) {
   RealExecutor serial_exec(&gen.store(), serial_opts);
   RealExecutor global_exec(&gen.store());  // Global pool (ADS_THREADS)
   ReferenceExecutor reference(&gen.store());
+  Optimizer optimizer(&gen.catalog());
 
   for (const std::string& name : gen.QueryNames()) {
     SCOPED_TRACE(name);
@@ -82,6 +102,21 @@ TEST(ExecGoldenTest, TpchTemplateAnswersAreByteStable) {
         << name << " differs between executors";
 
     CheckGolden(name + ".golden", got);
+
+    // Operator accounting, logical plan then Default-optimized plan; the
+    // serial pool must count exactly what the global pool counts.
+    const std::string ops = OperatorLines(parallel.value());
+    EXPECT_EQ(OperatorLines(serial.value()), ops)
+        << name << " operator stats differ between serial and global pools";
+    auto optimized = optimizer.Optimize(*plan.value(), RuleConfig::Default());
+    ASSERT_NE(optimized, nullptr);
+    auto optimized_run = global_exec.Execute(*optimized);
+    ASSERT_TRUE(optimized_run.ok()) << optimized_run.status();
+    EXPECT_EQ(optimized_run->table.Serialize(), got)
+        << name << " optimized answer differs from the logical answer";
+    CheckGolden(name + ".operators",
+                "# logical\n" + ops + "# optimized (RuleConfig::Default)\n" +
+                    OperatorLines(optimized_run.value()));
   }
 }
 
