@@ -5,7 +5,6 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
-#include <type_traits>
 #include <utility>
 
 #include "engine/vec_ops.h"
@@ -195,8 +194,7 @@ common::Result<View> ExecScan(const PlanNode& node, const ExecContext& ctx) {
 common::Result<View> ExecFilter(const PlanNode& node, View input,
                                 const ExecContext& ctx) {
   if (node.predicates.empty()) return input;
-  // The first predicate fills the bitmap; each later one only tests the
-  // rows still set.
+  // The first predicate fills the bitmap; each later one ANDs into it.
   common::AlignedBuffer<uint64_t> bits;
   bits.EnsureCapacity(BitmapWords(input.rows));
   for (size_t p = 0; p < node.predicates.size(); ++p) {
@@ -277,121 +275,6 @@ common::Result<View> ExecJoin(const PlanNode& node, const View& left,
   return out;
 }
 
-template <typename T>
-const T* Values(const Column& c) {
-  if constexpr (std::is_same_v<T, int64_t>) {
-    return c.i64_data();
-  } else {
-    return c.f64_data();
-  }
-}
-
-template <typename T>
-void Put(Column* c, size_t row, T value) {
-  if constexpr (std::is_same_v<T, int64_t>) {
-    c->I64At(row) = value;
-  } else {
-    c->F64At(row) = value;
-  }
-}
-
-/// Accumulator of SUM/AVG over T. i64 sums accumulate unsigned:
-/// overflow-adjacent data wraps mod 2^64 (defined, and congruent to the
-/// signed sum) instead of UB. f64 sums accumulate in row order: the
-/// defined, bit-reproducible semantics.
-template <typename T>
-using SumOf =
-    std::conditional_t<std::is_same_v<T, int64_t>, uint64_t, double>;
-
-/// The per-group aggregates of one Aggregate node, computed over a group
-/// index. SUM and AVG of the same input share one pass over it.
-class GroupedAggregates {
- public:
-  GroupedAggregates(size_t rows, const uint32_t* group_of_row, size_t groups)
-      : rows_(rows), group_of_row_(group_of_row), counts_(groups, 0) {
-    for (size_t r = 0; r < rows; ++r) ++counts_[group_of_row[r]];
-  }
-
-  /// Fills `result` (one row per group) with `fn` over `in`; `in` is
-  /// unused for COUNT(*).
-  void Compute(AggFn fn, const ColumnRef& in, Column* result) {
-    if (fn == AggFn::kCount) {
-      for (size_t g = 0; g < counts_.size(); ++g) {
-        result->I64At(g) = counts_[g];
-      }
-    } else if (in.column->type() == ColumnType::kI64) {
-      ComputeTyped<int64_t>(fn, in, i64_sums_, result);
-    } else {
-      ComputeTyped<double>(fn, in, f64_sums_, result);
-    }
-  }
-
- private:
-  template <typename T>
-  using SumCache = std::vector<std::pair<ColumnRef, std::vector<SumOf<T>>>>;
-
-  /// fn(group, value) for every input row, in row order.
-  template <typename T, typename Fn>
-  void ForEachRow(const ColumnRef& in, Fn&& fn) const {
-    const T* v = Values<T>(*in.column);
-    if (in.index == nullptr) {
-      for (size_t r = 0; r < rows_; ++r) fn(group_of_row_[r], v[r]);
-    } else {
-      for (size_t r = 0; r < rows_; ++r) {
-        fn(group_of_row_[r], v[in.index[r]]);
-      }
-    }
-  }
-
-  template <typename T>
-  void ComputeTyped(AggFn fn, const ColumnRef& in, SumCache<T>& sum_cache,
-                    Column* result) {
-    const size_t groups = counts_.size();
-    if (fn == AggFn::kSum || fn == AggFn::kAvg) {
-      auto hit = std::find_if(
-          sum_cache.begin(), sum_cache.end(), [&](const auto& e) {
-            return e.first.column == in.column && e.first.index == in.index;
-          });
-      if (hit == sum_cache.end()) {
-        std::vector<SumOf<T>> sums(groups, SumOf<T>{0});
-        ForEachRow<T>(in, [&](uint32_t g, T v) {
-          sums[g] += static_cast<SumOf<T>>(v);
-        });
-        sum_cache.emplace_back(in, std::move(sums));
-        hit = sum_cache.end() - 1;
-      }
-      const std::vector<SumOf<T>>& sums = hit->second;
-      for (size_t g = 0; g < groups; ++g) {
-        if (fn == AggFn::kSum) {
-          Put<T>(result, g, static_cast<T>(sums[g]));
-        } else {
-          result->F64At(g) =
-              counts_[g] == 0 ? 0.0
-                              : static_cast<double>(static_cast<T>(sums[g])) /
-                                    static_cast<double>(counts_[g]);
-        }
-      }
-      return;
-    }
-    const bool is_min = fn == AggFn::kMin;
-    std::vector<T> best(groups, T{0});
-    std::vector<uint8_t> seen(groups, 0);
-    ForEachRow<T>(in, [&](uint32_t g, T v) {
-      if (!seen[g] || (is_min ? v < best[g] : v > best[g])) {
-        best[g] = v;
-        seen[g] = 1;
-      }
-    });
-    for (size_t g = 0; g < groups; ++g) Put<T>(result, g, best[g]);
-  }
-
-  size_t rows_;
-  const uint32_t* group_of_row_;
-  std::vector<int64_t> counts_;
-  SumCache<int64_t> i64_sums_;
-  SumCache<double> f64_sums_;
-};
-
 common::Result<View> ExecAggregate(const PlanNode& node, const View& input,
                                    const ExecContext& ctx) {
   const size_t rows = input.rows;
@@ -445,14 +328,17 @@ common::Result<View> ExecAggregate(const PlanNode& node, const View& input,
     out->AddColumn(std::move(key));
   }
 
-  GroupedAggregates grouped(rows, group_of_row, groups);
+  // Per-group counts, shared by count/avg.
+  std::vector<int64_t> group_rows(groups, 0);
+  for (size_t r = 0; r < rows; ++r) ++group_rows[group_of_row[r]];
+
   for (size_t a = 0; a < aggs.size(); ++a) {
     const ColumnRef& in = agg_inputs[a];
     const ColumnType in_type =
         in.column == nullptr ? ColumnType::kI64 : in.column->type();
     Column result(aggs[a].OutputName(), AggOutputType(aggs[a].fn, in_type));
     result.Resize(groups);
-    grouped.Compute(aggs[a].fn, in, &result);
+    AggregateByGroup(aggs[a].fn, in, rows, group_of_row, group_rows, &result);
     out->AddColumn(std::move(result));
   }
   return OwnedView(std::move(out), groups);

@@ -1,6 +1,7 @@
 #include "engine/vec_ops.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/logging.h"
 
@@ -69,9 +70,24 @@ uint64_t PredicateWord(const T* values, RowOf row, size_t row0, size_t row1,
   return word;
 }
 
-/// A word with at most this many rows still set is refined one set bit at
-/// a time instead of testing all 64 rows.
-constexpr int kSparseWordBits = 32;
+/// bits[w] = merge(bits[w], predicate word w) for every word of a bitmap
+/// over `rows` rows of `col`, parallel over word-aligned chunks.
+template <typename Merge>
+void PredicateWords(const ColumnRef& col, size_t rows, CompareOp op,
+                    double literal, common::ThreadPool& pool, uint64_t* bits,
+                    Merge merge) {
+  WithPredicate(col, op, [&](const auto* values, auto row, auto cmp) {
+    common::parallel_for(
+        pool, 0, BitmapWords(rows), kBitmapGrain / 64,
+        [&](size_t w0, size_t w1) {
+          for (size_t w = w0; w < w1; ++w) {
+            merge(&bits[w], PredicateWord(values, row, w * 64,
+                                          std::min(rows, w * 64 + 64),
+                                          literal, cmp));
+          }
+        });
+  });
+}
 
 template <typename T>
 void GatherTyped(const T* src, const uint32_t* index, size_t n,
@@ -85,6 +101,68 @@ void GatherTyped(const T* src, const uint32_t* index, size_t n,
   });
 }
 
+/// fn(group, value) for each of the `rows` input rows, in row order.
+template <typename T, typename Fn>
+void ForEachGroupedValue(const T* values, const uint32_t* index, size_t rows,
+                         const uint32_t* group_of_row, Fn&& fn) {
+  WithRows(index, [&](auto row) {
+    for (size_t r = 0; r < rows; ++r) fn(group_of_row[r], values[row(r)]);
+  });
+}
+
+/// Accumulator of SUM/AVG over T. i64 sums accumulate unsigned:
+/// overflow-adjacent data wraps mod 2^64 (defined, and congruent to the
+/// signed sum) instead of UB. f64 sums accumulate in row order: the
+/// defined, bit-reproducible semantics.
+template <typename T>
+using SumOf =
+    std::conditional_t<std::is_same_v<T, int64_t>, uint64_t, double>;
+
+template <typename T>
+void Put(Column* c, size_t row, T value) {
+  if constexpr (std::is_same_v<T, int64_t>) {
+    c->I64At(row) = value;
+  } else {
+    c->F64At(row) = value;
+  }
+}
+
+template <typename T>
+void AggregateTyped(AggFn fn, const T* values, const uint32_t* index,
+                    size_t rows, const uint32_t* group_of_row,
+                    const std::vector<int64_t>& group_rows, Column* result) {
+  const size_t groups = group_rows.size();
+  if (fn == AggFn::kSum || fn == AggFn::kAvg) {
+    std::vector<SumOf<T>> sums(groups, SumOf<T>{0});
+    ForEachGroupedValue(values, index, rows, group_of_row,
+                        [&](uint32_t g, T v) {
+                          sums[g] += static_cast<SumOf<T>>(v);
+                        });
+    for (size_t g = 0; g < groups; ++g) {
+      if (fn == AggFn::kSum) {
+        Put<T>(result, g, static_cast<T>(sums[g]));
+      } else {
+        result->F64At(g) =
+            group_rows[g] == 0
+                ? 0.0
+                : static_cast<double>(static_cast<T>(sums[g])) /
+                      static_cast<double>(group_rows[g]);
+      }
+    }
+    return;
+  }
+  const bool is_min = fn == AggFn::kMin;
+  std::vector<T> best(groups, T{0});
+  std::vector<uint8_t> seen(groups, 0);
+  ForEachGroupedValue(values, index, rows, group_of_row, [&](uint32_t g, T v) {
+    if (!seen[g] || (is_min ? v < best[g] : v > best[g])) {
+      best[g] = v;
+      seen[g] = 1;
+    }
+  });
+  for (size_t g = 0; g < groups; ++g) Put<T>(result, g, best[g]);
+}
+
 size_t NextPow2(size_t n) {
   size_t p = 1;
   while (p < n) p <<= 1;
@@ -96,44 +174,15 @@ size_t NextPow2(size_t n) {
 void PredicateBitmap(const ColumnRef& col, size_t rows, CompareOp op,
                      double literal, common::ThreadPool& pool,
                      uint64_t* bits) {
-  WithPredicate(col, op, [&](const auto* values, auto row, auto cmp) {
-    common::parallel_for(
-        pool, 0, BitmapWords(rows), kBitmapGrain / 64,
-        [&](size_t w0, size_t w1) {
-          for (size_t w = w0; w < w1; ++w) {
-            bits[w] = PredicateWord(values, row, w * 64,
-                                    std::min(rows, w * 64 + 64), literal, cmp);
-          }
-        });
-  });
+  PredicateWords(col, rows, op, literal, pool, bits,
+                 [](uint64_t* word, uint64_t pass) { *word = pass; });
 }
 
 void PredicateBitmapAnd(const ColumnRef& col, size_t rows, CompareOp op,
                         double literal, common::ThreadPool& pool,
                         uint64_t* bits) {
-  WithPredicate(col, op, [&](const auto* values, auto row, auto cmp) {
-    common::parallel_for(
-        pool, 0, BitmapWords(rows), kBitmapGrain / 64,
-        [&](size_t w0, size_t w1) {
-          for (size_t w = w0; w < w1; ++w) {
-            const size_t row0 = w * 64;
-            uint64_t keep = bits[w];
-            if (__builtin_popcountll(keep) > kSparseWordBits) {
-              bits[w] = keep & PredicateWord(values, row, row0,
-                                             std::min(rows, row0 + 64),
-                                             literal, cmp);
-              continue;
-            }
-            for (uint64_t todo = keep; todo != 0; todo &= todo - 1) {
-              const int bit = __builtin_ctzll(todo);
-              const bool pass =
-                  cmp(static_cast<double>(values[row(row0 + bit)]), literal);
-              keep &= ~(static_cast<uint64_t>(!pass) << bit);
-            }
-            bits[w] = keep;
-          }
-        });
-  });
+  PredicateWords(col, rows, op, literal, pool, bits,
+                 [](uint64_t* word, uint64_t pass) { *word &= pass; });
 }
 
 size_t BitmapToSelection(const uint64_t* bits, size_t rows,
@@ -228,10 +277,7 @@ void JoinHashTable::Probe(const ColumnRef& probe_keys, size_t rows,
   if (rows == 0 || keys_.empty()) return;
 
   WithRows(probe_keys.index, [&](auto row) {
-    // Pass 1: each row's first match (or -1), and matches per fixed-grain
-    // chunk.
-    common::AlignedBuffer<int32_t> first;
-    first.EnsureCapacity(rows);
+    // Pass 1: matches per fixed-grain chunk.
     const size_t num_chunks = (rows + kProbeGrain - 1) / kProbeGrain;
     std::vector<uint64_t> chunk_offset(num_chunks + 1, 0);
     common::parallel_for(
@@ -239,15 +285,10 @@ void JoinHashTable::Probe(const ColumnRef& probe_keys, size_t rows,
           uint64_t count = 0;
           for (size_t i = lo; i < hi; ++i) {
             const int64_t key = probe[row(i)];
-            int32_t match = -1;
             for (int32_t e = heads_[HashJoinKey(key, seed_) & mask_]; e >= 0;
                  e = next_[static_cast<size_t>(e)]) {
-              if (keys_[static_cast<size_t>(e)] == key) {
-                if (match < 0) match = e;
-                ++count;
-              }
+              count += keys_[static_cast<size_t>(e)] == key;
             }
-            first[i] = match;
           }
           chunk_offset[lo / kProbeGrain + 1] = count;
         });
@@ -263,16 +304,14 @@ void JoinHashTable::Probe(const ColumnRef& probe_keys, size_t rows,
     uint32_t* out_probe = probe_idx->data();
     uint32_t* out_build = build_idx->data();
 
-    // Pass 2: fill, walking on from each row's first match — no row is
-    // hashed twice.
+    // Pass 2: fill.
     common::parallel_for(
         pool, 0, rows, kProbeGrain, [&](size_t lo, size_t hi) {
           auto at = static_cast<size_t>(chunk_offset[lo / kProbeGrain]);
           for (size_t i = lo; i < hi; ++i) {
-            int32_t e = first[i];
-            if (e < 0) continue;
             const int64_t key = probe[row(i)];
-            for (; e >= 0; e = next_[static_cast<size_t>(e)]) {
+            for (int32_t e = heads_[HashJoinKey(key, seed_) & mask_]; e >= 0;
+                 e = next_[static_cast<size_t>(e)]) {
               if (keys_[static_cast<size_t>(e)] == key) {
                 out_probe[at] = static_cast<uint32_t>(i);
                 out_build[at] = static_cast<uint32_t>(e);
@@ -300,49 +339,60 @@ void GroupIndex::Build(const std::vector<ColumnRef>& keys, size_t rows,
   }
   // Open-addressing table of group ids, linear probing, sized so that
   // every row could open its own group. Ids are handed out in first-seen
-  // order, whatever bucket a key hashes to.
+  // order, whatever bucket a key hashes to. Each group's key values sit in
+  // one flat groups x keys array, so a probe compares the row's keys with
+  // values at hand instead of reading its first row again.
+  const size_t width = keys.size();
   const size_t buckets = NextPow2(std::max<size_t>(16, 2 * rows));
   const size_t mask = buckets - 1;
   std::vector<int32_t> slot_group(buckets, -1);
-  auto find_or_add = [&](size_t r, uint64_t h, auto&& same_key) {
+  std::vector<int64_t> group_keys;
+  std::vector<int64_t> row_keys(width);
+  int64_t* row_key = row_keys.data();
+  for (size_t r = 0; r < rows; ++r) {
+    uint64_t h = seed;
+    for (size_t k = 0; k < width; ++k) {
+      row_key[k] = keys[k].I64(r);
+      h = HashJoinKey(row_key[k], h);
+    }
     for (size_t slot = h & mask;; slot = (slot + 1) & mask) {
       const int32_t g = slot_group[slot];
       if (g < 0) {
         const auto group = static_cast<uint32_t>(representative_row_.size());
         slot_group[slot] = static_cast<int32_t>(group);
         representative_row_.push_back(static_cast<uint32_t>(r));
-        return group;
+        group_keys.insert(group_keys.end(), row_key, row_key + width);
+        group_of_row_[r] = group;
+        break;
       }
-      if (same_key(static_cast<uint32_t>(g))) return static_cast<uint32_t>(g);
+      const int64_t* group_key =
+          group_keys.data() + static_cast<size_t>(g) * width;
+      size_t k = 0;
+      while (k < width && group_key[k] == row_key[k]) ++k;
+      if (k == width) {
+        group_of_row_[r] = static_cast<uint32_t>(g);
+        break;
+      }
     }
-  };
-  if (keys.size() == 1) {
-    // One key, the common shape, without the per-key loops: each group
-    // keeps its key value, so a probe compares against a value at hand.
-    const int64_t* v = keys[0].column->i64_data();
-    std::vector<int64_t> group_key;
-    WithRows(keys[0].index, [&](auto row) {
-      for (size_t r = 0; r < rows; ++r) {
-        const int64_t key = v[row(r)];
-        const uint32_t g =
-            find_or_add(r, HashJoinKey(key, seed),
-                        [&](uint32_t group) { return group_key[group] == key; });
-        if (g == group_key.size()) group_key.push_back(key);
-        group_of_row_[r] = g;
-      }
-    });
-    return;
   }
-  for (size_t r = 0; r < rows; ++r) {
-    uint64_t h = seed;
-    for (const ColumnRef& k : keys) h = HashJoinKey(k.I64(r), h);
-    group_of_row_[r] = find_or_add(r, h, [&](uint32_t group) {
-      const uint32_t first = representative_row_[group];
-      for (const ColumnRef& k : keys) {
-        if (k.I64(r) != k.I64(first)) return false;
-      }
-      return true;
-    });
+}
+
+void AggregateByGroup(AggFn fn, const ColumnRef& in, size_t rows,
+                      const uint32_t* group_of_row,
+                      const std::vector<int64_t>& group_rows, Column* result) {
+  ADS_CHECK(result->size() == group_rows.size())
+      << "aggregate target " << result->name() << " needs "
+      << group_rows.size() << " rows";
+  if (fn == AggFn::kCount) {
+    for (size_t g = 0; g < group_rows.size(); ++g) {
+      result->I64At(g) = group_rows[g];
+    }
+  } else if (in.column->type() == ColumnType::kI64) {
+    AggregateTyped(fn, in.column->i64_data(), in.index, rows, group_of_row,
+                   group_rows, result);
+  } else {
+    AggregateTyped(fn, in.column->f64_data(), in.index, rows, group_of_row,
+                   group_rows, result);
   }
 }
 

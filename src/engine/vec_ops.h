@@ -8,17 +8,19 @@
 #include "common/thread_pool.h"
 #include "engine/column.h"
 #include "engine/expr.h"
+#include "engine/plan.h"
 
 namespace ads::engine {
 
 /// Vectorized operator kernels: predicate bitmaps, selection vectors,
-/// row-index composition, value gathers, a seeded hash-join table and a
-/// grouped-aggregation index. All kernels are deterministic and
-/// thread-count invariant: parallel sections use fixed grains on
-/// ThreadPool::ParallelFor (whose chunk boundaries never depend on the
-/// worker count), and every floating-point reduction happens sequentially
-/// in input row order. The differential harness exploits this: vectorized
-/// output must equal the row-at-a-time reference executor bit for bit.
+/// row-index composition, value gathers, a seeded hash-join table, a
+/// grouped-aggregation index and per-group aggregates. All kernels are
+/// deterministic and thread-count invariant: parallel sections use fixed
+/// grains on ThreadPool::ParallelFor (whose chunk boundaries never depend
+/// on the worker count), and every floating-point reduction happens
+/// sequentially in input row order. The differential harness exploits
+/// this: vectorized output must equal the row-at-a-time reference
+/// executor bit for bit.
 ///
 /// Kernels read their inputs as (values, row index) pairs — a ColumnRef —
 /// so an operator can work on a column it never copied: row r of the
@@ -64,10 +66,8 @@ void PredicateBitmap(const ColumnRef& col, size_t rows, CompareOp op,
                      double literal, common::ThreadPool& pool,
                      uint64_t* bits);
 
-/// bits &= the bitmap PredicateBitmap would fill, evaluating the
-/// predicate only for rows still set: a word with few set bits is tested
-/// one set bit at a time. `bits` must have no bit set past `rows`, as
-/// PredicateBitmap leaves it.
+/// bits &= the bitmap PredicateBitmap would fill, one word at a time, so a
+/// conjunction needs no second bitmap.
 void PredicateBitmapAnd(const ColumnRef& col, size_t rows, CompareOp op,
                         double literal, common::ThreadPool& pool,
                         uint64_t* bits);
@@ -105,8 +105,7 @@ class JoinHashTable {
   /// Probes with `rows` rows of `probe_keys` in row order and appends
   /// every match as a (probe_row, build_row) pair, probe-major, build
   /// ascending within a probe row. Deterministic two-pass parallel:
-  /// per-chunk match counts (remembering each row's first match), a
-  /// prefix over chunks, then disjoint writes.
+  /// per-chunk match counts, a prefix over chunks, then disjoint writes.
   void Probe(const ColumnRef& probe_keys, size_t rows,
              common::ThreadPool& pool,
              common::AlignedBuffer<uint32_t>* probe_idx,
@@ -143,6 +142,17 @@ class GroupIndex {
   common::AlignedBuffer<uint32_t> group_of_row_;
   common::AlignedBuffer<uint32_t> representative_row_;
 };
+
+/// Per-group aggregate `fn` over the `rows` rows of `in`, row r in group
+/// group_of_row[r], into `result`: one row per group, already of the
+/// aggregate's output type. group_rows[g] is group g's row count; COUNT
+/// and AVG read it, and COUNT(*) leaves `in` unread. Sequential in row
+/// order, the defined semantics: f64 sums add in row order, i64 sums wrap
+/// mod 2^64, AVG is (double)sum / count (0 for an empty group), and MIN and
+/// MAX of an empty group are 0.
+void AggregateByGroup(AggFn fn, const ColumnRef& in, size_t rows,
+                      const uint32_t* group_of_row,
+                      const std::vector<int64_t>& group_rows, Column* result);
 
 }  // namespace ads::engine
 

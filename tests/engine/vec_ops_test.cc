@@ -1,13 +1,17 @@
 // Kernel-level tests for the vectorized primitives: bitmap shape and
 // chunk-boundary behavior, selection expansion, row-index composition,
-// gathers, join hash table chain order, and group-index first-seen
-// numbering — each checked on both the Serial (inline) and the Global
-// pool, since serial/parallel bit-identity is the property everything
-// above relies on, and each read both in place and through a row index.
+// gathers, join hash table chain order, group-index first-seen
+// numbering and per-group aggregates — each checked on both the Serial
+// (inline) and the Global pool, since serial/parallel bit-identity is the
+// property everything above relies on, and each read both in place and
+// through a row index.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/aligned.h"
@@ -69,10 +73,10 @@ TEST(VecOpsTest, PredicateBitmapReadsThroughRowIndex) {
 }
 
 TEST(VecOpsTest, PredicateBitmapAndMatchesAndOfFullBitmaps) {
-  // A first predicate leaves dense words (refined by testing all 64 rows)
-  // and sparse ones (refined one set bit at a time); either way the result
-  // is the AND of the two full bitmaps, ragged tail word included, on both
-  // pools and read in place or through an index.
+  // ANDing a predicate into a bitmap equals the AND of the two full
+  // bitmaps, whether the first one left a word dense or sparse, ragged
+  // tail word included, on both pools and read in place or through an
+  // index.
   const size_t rows = 2 * kBitmapGrain + 37;
   Column a = Column::I64("a");
   Column b = Column::F64("b");
@@ -296,6 +300,92 @@ TEST(VecOpsTest, GroupIndexManyGroupsThroughRowIndexInFirstSeenOrder) {
   }
   for (size_t g = 0; g < gi.num_groups(); ++g) {
     EXPECT_EQ(gi.representative_row()[g], 2 * g);
+  }
+}
+
+TEST(VecOpsTest, GroupIndexTwoKeysThroughRowIndexesMatchesFirstSeenMap) {
+  // Two keys, each read through its own row index (as after a join, one
+  // per input side), with duplicates on both: ids must follow the first
+  // time each (a, b) pair is seen.
+  Column a = Column::I64("a");
+  Column b = Column::I64("b");
+  for (int64_t v = 0; v < 500; ++v) a.AppendI64(v % 7);
+  for (int64_t v = 0; v < 300; ++v) b.AppendI64((v * v) % 5);
+  const size_t rows = 1000;
+  common::AlignedBuffer<uint32_t> ia;
+  common::AlignedBuffer<uint32_t> ib;
+  for (size_t r = 0; r < rows; ++r) {
+    ia.push_back(static_cast<uint32_t>((r * 3) % 500));
+    ib.push_back(static_cast<uint32_t>((rows - 1 - r) % 300));
+  }
+  GroupIndex gi;
+  gi.Build({ColumnRef{&a, ia.data()}, ColumnRef{&b, ib.data()}}, rows, 7);
+
+  std::map<std::pair<int64_t, int64_t>, uint32_t> first_seen;
+  std::vector<uint32_t> representative;
+  for (size_t r = 0; r < rows; ++r) {
+    const std::pair<int64_t, int64_t> key{a.I64At(ia[r]), b.I64At(ib[r])};
+    auto [it, fresh] = first_seen.emplace(
+        key, static_cast<uint32_t>(first_seen.size()));
+    if (fresh) representative.push_back(static_cast<uint32_t>(r));
+    ASSERT_EQ(gi.group_of_row()[r], it->second) << "row " << r;
+  }
+  ASSERT_EQ(gi.num_groups(), first_seen.size());
+  for (size_t g = 0; g < gi.num_groups(); ++g) {
+    EXPECT_EQ(gi.representative_row()[g], representative[g]) << "group " << g;
+  }
+}
+
+TEST(VecOpsTest, AggregateByGroupThroughRowIndex) {
+  // Each aggregate over values read through a row index equals a plain
+  // row-order loop; group 3 has no rows, so it reads the identities.
+  Column iv = I64Column("iv", {4, -9, 12, 7, -3, 15});
+  Column fv = Column::F64("fv");
+  for (double v : {0.5, -1.25, 3.0, 0.1, 2.2, -0.7}) fv.AppendF64(v);
+  const std::vector<uint32_t> index = {5, 0, 3, 3, 1, 4, 2, 0};
+  const std::vector<uint32_t> group_of_row = {0, 1, 0, 2, 1, 0, 2, 1};
+  const std::vector<int64_t> group_rows = {3, 3, 2, 0};
+  const size_t rows = index.size();
+  const size_t groups = group_rows.size();
+
+  auto run = [&](AggFn fn, const Column& in, ColumnType out_type) {
+    Column out("out", out_type);
+    out.Resize(groups);
+    AggregateByGroup(fn, ColumnRef{&in, index.data()}, rows,
+                     group_of_row.data(), group_rows, &out);
+    return out;
+  };
+  const Column count = run(AggFn::kCount, iv, ColumnType::kI64);
+  const Column isum = run(AggFn::kSum, iv, ColumnType::kI64);
+  const Column imin = run(AggFn::kMin, iv, ColumnType::kI64);
+  const Column imax = run(AggFn::kMax, iv, ColumnType::kI64);
+  const Column iavg = run(AggFn::kAvg, iv, ColumnType::kF64);
+  const Column fsum = run(AggFn::kSum, fv, ColumnType::kF64);
+  const Column favg = run(AggFn::kAvg, fv, ColumnType::kF64);
+  for (size_t g = 0; g < groups; ++g) {
+    int64_t sum = 0;
+    int64_t lo = 0;
+    int64_t hi = 0;
+    double fsum_want = 0.0;
+    bool seen = false;
+    for (size_t r = 0; r < rows; ++r) {
+      if (group_of_row[r] != g) continue;
+      const int64_t v = iv.I64At(index[r]);
+      sum += v;
+      lo = seen ? std::min(lo, v) : v;
+      hi = seen ? std::max(hi, v) : v;
+      seen = true;
+      fsum_want += fv.F64At(index[r]);
+    }
+    const auto n = static_cast<double>(group_rows[g]);
+    EXPECT_EQ(count.I64At(g), group_rows[g]) << "group " << g;
+    EXPECT_EQ(isum.I64At(g), sum) << "group " << g;
+    EXPECT_EQ(imin.I64At(g), lo) << "group " << g;
+    EXPECT_EQ(imax.I64At(g), hi) << "group " << g;
+    EXPECT_EQ(iavg.F64At(g), n == 0 ? 0.0 : static_cast<double>(sum) / n)
+        << "group " << g;
+    EXPECT_EQ(fsum.F64At(g), fsum_want) << "group " << g;
+    EXPECT_EQ(favg.F64At(g), n == 0 ? 0.0 : fsum_want / n) << "group " << g;
   }
 }
 
