@@ -15,17 +15,22 @@
 //   - timing and cardinality tables (suppressed under --smoke so the
 //     deterministic stdout stays diffable);
 //   - machine-readable metrics as JSON (--out=PATH, default
-//     BENCH_p7.json).
+//     BENCH_p7.json). A full run adds each template's self time per
+//     operator kind in ns per row read, from the OperatorStats of the
+//     timed runs, next to a measured memcpy bandwidth over lineitem's
+//     bytes.
 //
 // `--smoke` shrinks the generator knob and repetitions for CI.
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -68,6 +73,27 @@ double BestSeconds(int reps, const std::function<void()>& fn) {
   double best = std::numeric_limits<double>::infinity();
   for (int i = 0; i < reps; ++i) best = std::min(best, Seconds(fn));
   return best;
+}
+
+/// Best-of-5 copy bandwidth over a buffer of `bytes`, in GB/s.
+double MemcpyGbps(size_t bytes) {
+  std::vector<char> src(bytes, 1);
+  std::vector<char> dst(bytes, 0);
+  double best = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 5; ++i) {
+    best = std::min(best, Seconds([&] {
+      std::memcpy(dst.data(), src.data(), bytes);
+    }));
+    src[i] = dst[bytes - 1 - i];  // keep the copies observable
+  }
+  return static_cast<double>(bytes) / best / 1e9;
+}
+
+/// Lower-case operator kind, as in the JSON metric names.
+std::string OpKind(engine::OpType op) {
+  std::string kind = engine::OpTypeName(op);
+  for (char& c : kind) c = static_cast<char>(std::tolower(c));
+  return kind;
 }
 
 double StoreBytes(const engine::TableStore& store, const std::string& name) {
@@ -160,9 +186,16 @@ void Run() {
       auto r = reference.Execute(*plan);
       ADS_CHECK(r.ok());
     });
+    // Best of reps after one warmup, and each operator's least self time
+    // over the same runs.
+    std::vector<double> op_s(vec->operators.size(),
+                             std::numeric_limits<double>::infinity());
     t.vec_s = BestSeconds(reps, [&] {
       auto r = vectorized.Execute(*plan);
       ADS_CHECK(r.ok());
+      for (size_t i = 0; i < op_s.size(); ++i) {
+        op_s[i] = std::min(op_s[i], r->operators[i].seconds);
+      }
     });
     // Estimated-vs-actual from the measured operator stats: the root's
     // estimate vs its real output, and the worst per-operator q-error.
@@ -181,6 +214,23 @@ void Run() {
     Metric(name + ".speedup", t.ref_s / t.vec_s);
     Metric(name + ".root_est_card", t.est_card);
     Metric(name + ".max_q_error", t.max_q_error);
+    if (!g_smoke) {
+      // Per operator kind: the least self times summed over the template's
+      // operators of that kind, per row they read (a scan's output, else
+      // its input). Full runs only, so the smoke output stays unchanged.
+      std::map<std::string, std::pair<double, double>> kind_s_rows;
+      for (size_t i = 0; i < op_s.size(); ++i) {
+        const engine::OperatorStats& op = vec->operators[i];
+        auto& [seconds, rows] = kind_s_rows[OpKind(op.op)];
+        seconds += op_s[i];
+        rows += static_cast<double>(
+            op.op == engine::OpType::kScan ? op.rows_out : op.rows_in);
+      }
+      for (const auto& [kind, s_rows] : kind_s_rows) {
+        Metric(name + ".op." + kind + ".ns_per_row",
+               s_rows.second > 0 ? s_rows.first / s_rows.second * 1e9 : 0.0);
+      }
+    }
     timings.push_back(t);
   }
 
@@ -197,6 +247,7 @@ void Run() {
                   t.name.c_str(), t.ref_s * 1e3, t.vec_s * 1e3,
                   t.ref_s / t.vec_s, t.est_card, t.actual, t.max_q_error);
     }
+    Metric("memcpy_gbps", MemcpyGbps(static_cast<size_t>(lineitem_bytes)));
     // The headline claim: columnar + vectorized beats tuple-at-a-time on
     // the join+aggregate templates once the data outruns L2.
     double join_agg_speedup = std::numeric_limits<double>::infinity();

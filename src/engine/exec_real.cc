@@ -13,6 +13,11 @@ namespace ads::engine {
 
 namespace {
 
+/// Seed for join/group hashing. Policy: one fixed seed — never derived
+/// from data or time — so a plan re-executed on the same store is
+/// bit-identical, across runs and across ADS_THREADS.
+constexpr uint64_t kHashSeed = 0x8f3a96cd15ce1bd3ull;
+
 double Now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -23,21 +28,6 @@ common::Status MissingColumn(const std::string& column,
                              const std::string& where) {
   return common::Status::NotFound("column " + column + " not found in " +
                                   where);
-}
-
-/// Output type of an aggregate over an input column type.
-ColumnType AggOutputType(AggFn fn, ColumnType input) {
-  switch (fn) {
-    case AggFn::kCount:
-      return ColumnType::kI64;
-    case AggFn::kAvg:
-      return ColumnType::kF64;
-    case AggFn::kSum:
-    case AggFn::kMin:
-    case AggFn::kMax:
-      return input;
-  }
-  return ColumnType::kI64;
 }
 
 std::string NodeDetail(const PlanNode& node) {
@@ -163,7 +153,6 @@ ColumnTable Materialize(const View& view, common::ThreadPool& pool) {
 struct ExecContext {
   const TableStore* store = nullptr;
   common::ThreadPool* pool = nullptr;
-  uint64_t hash_seed = 0;
   telemetry::Tracer* tracer = nullptr;
   double start_time = 0.0;
   std::vector<OperatorStats>* operators = nullptr;
@@ -194,24 +183,15 @@ common::Result<View> ExecScan(const PlanNode& node, const ExecContext& ctx) {
 common::Result<View> ExecFilter(const PlanNode& node, View input,
                                 const ExecContext& ctx) {
   if (node.predicates.empty()) return input;
-  // The first predicate fills the bitmap; each later one ANDs into it.
-  common::AlignedBuffer<uint64_t> bits;
-  bits.EnsureCapacity(BitmapWords(input.rows));
-  for (size_t p = 0; p < node.predicates.size(); ++p) {
-    const Predicate& pred = node.predicates[p];
+  std::vector<ColumnPredicate> preds;
+  for (const Predicate& pred : node.predicates) {
     const int col = input.Find(pred.column);
     if (col < 0) return MissingColumn(pred.column, "filter input");
-    const ColumnRef ref = input.Ref(static_cast<size_t>(col));
-    if (p == 0) {
-      PredicateBitmap(ref, input.rows, pred.op, pred.value, *ctx.pool,
-                      bits.data());
-    } else {
-      PredicateBitmapAnd(ref, input.rows, pred.op, pred.value, *ctx.pool,
-                         bits.data());
-    }
+    preds.push_back(ColumnPredicate{input.Ref(static_cast<size_t>(col)),
+                                    pred.op, pred.value});
   }
   auto sel = std::make_shared<RowIndex>();
-  const size_t n = BitmapToSelection(bits.data(), input.rows, sel.get());
+  const size_t n = SelectRows(preds, input.rows, *ctx.pool, sel.get());
   if (n == input.rows) return input;  // every row survives
   View out;
   out.rows = n;
@@ -263,7 +243,7 @@ common::Result<View> ExecJoin(const PlanNode& node, const View& left,
   // Build over the right input, probe with the left in row order: output
   // row order is (left row asc, right matches asc) — the defined order.
   JoinHashTable table;
-  table.Build(rk, right.rows, ctx.hash_seed);
+  table.Build(rk, right.rows, kHashSeed);
   auto probe_idx = std::make_shared<RowIndex>();
   auto build_idx = std::make_shared<RowIndex>();
   table.Probe(lk, left.rows, *ctx.pool, probe_idx.get(), build_idx.get());
@@ -275,8 +255,7 @@ common::Result<View> ExecJoin(const PlanNode& node, const View& left,
   return out;
 }
 
-common::Result<View> ExecAggregate(const PlanNode& node, const View& input,
-                                   const ExecContext& ctx) {
+common::Result<View> ExecAggregate(const PlanNode& node, const View& input) {
   const size_t rows = input.rows;
 
   std::vector<ColumnRef> keys;
@@ -295,8 +274,9 @@ common::Result<View> ExecAggregate(const PlanNode& node, const View& input,
 
   std::vector<AggExpr> aggs = node.agg.aggs;
   if (aggs.empty()) aggs.push_back(AggExpr{AggFn::kCount, ""});
-  std::vector<ColumnRef> agg_inputs(aggs.size());
+  std::vector<GroupedAgg> grouped(aggs.size());
   for (size_t a = 0; a < aggs.size(); ++a) {
+    grouped[a].fn = aggs[a].fn;
     if (aggs[a].column.empty()) {
       if (aggs[a].fn != AggFn::kCount) {
         return common::Status::InvalidArgument(
@@ -306,17 +286,18 @@ common::Result<View> ExecAggregate(const PlanNode& node, const View& input,
     }
     const int col = input.Find(aggs[a].column);
     if (col < 0) return MissingColumn(aggs[a].column, "aggregate input");
-    agg_inputs[a] = input.Ref(static_cast<size_t>(col));
+    grouped[a].in = input.Ref(static_cast<size_t>(col));
   }
 
   GroupIndex index;
-  index.Build(keys, rows, ctx.hash_seed);
+  index.Build(keys, rows, kHashSeed);
   // A global aggregate (no keys) over zero rows still yields one row of
   // identities: count 0, sum 0, avg 0, min/max 0. This engine has no
   // NULLs; both executors implement exactly this convention.
   const bool global_empty = keys.empty() && rows == 0;
-  const size_t groups = global_empty ? 1 : index.num_groups();
-  const uint32_t* group_of_row = index.group_of_row().data();
+  const std::vector<int64_t> group_rows =
+      global_empty ? std::vector<int64_t>{0} : index.group_rows();
+  const size_t groups = group_rows.size();
 
   auto out = std::make_shared<ColumnTable>("aggregate");
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -328,18 +309,11 @@ common::Result<View> ExecAggregate(const PlanNode& node, const View& input,
     out->AddColumn(std::move(key));
   }
 
-  // Per-group counts, shared by count/avg.
-  std::vector<int64_t> group_rows(groups, 0);
-  for (size_t r = 0; r < rows; ++r) ++group_rows[group_of_row[r]];
-
+  std::vector<Column> results = AggregateByGroup(
+      grouped, rows, index.group_of_row().data(), group_rows);
   for (size_t a = 0; a < aggs.size(); ++a) {
-    const ColumnRef& in = agg_inputs[a];
-    const ColumnType in_type =
-        in.column == nullptr ? ColumnType::kI64 : in.column->type();
-    Column result(aggs[a].OutputName(), AggOutputType(aggs[a].fn, in_type));
-    result.Resize(groups);
-    AggregateByGroup(aggs[a].fn, in, rows, group_of_row, group_rows, &result);
-    out->AddColumn(std::move(result));
+    results[a].set_name(aggs[a].OutputName());
+    out->AddColumn(std::move(results[a]));
   }
   return OwnedView(std::move(out), groups);
 }
@@ -436,7 +410,7 @@ common::Result<View> Exec(const PlanNode& node, ExecContext& ctx,
       case OpType::kJoin:
         return ExecJoin(node, inputs[0], inputs[1], ctx);
       case OpType::kAggregate:
-        return ExecAggregate(node, inputs[0], ctx);
+        return ExecAggregate(node, inputs[0]);
       case OpType::kSort:
         return ExecSort(node, inputs[0], ctx);
       case OpType::kUnion:
@@ -485,7 +459,6 @@ common::Result<ExecResult> RealExecutor::Execute(
   ctx.store = store_;
   ctx.pool =
       options_.pool != nullptr ? options_.pool : &common::ThreadPool::Global();
-  ctx.hash_seed = options_.hash_seed;
   ctx.tracer = tracer;
   ctx.start_time = Now();
   ctx.operators = &result.operators;

@@ -44,10 +44,6 @@ struct ExecResult {
 struct RealExecOptions {
   /// Pool for the parallel kernels; nullptr means ThreadPool::Global().
   common::ThreadPool* pool = nullptr;
-  /// Seed for join/group hashing. Policy: one fixed seed per executor —
-  /// never derived from data or time — so a plan re-executed on the same
-  /// store is bit-identical, across runs and across ADS_THREADS.
-  uint64_t hash_seed = 0x8f3a96cd15ce1bd3ull;
 };
 
 /// Vectorized, late-materializing columnar executor over a TableStore.
@@ -55,8 +51,8 @@ struct RealExecOptions {
 /// Operators pass a relation *view*, not a materialized table: a list of
 /// column pointers (borrowed from the TableStore, or owned by an aggregate
 /// or union output) plus one shared uint32 row index per input side, null
-/// meaning identity. Scan borrows the stored columns; Filter turns its
-/// bitmap into a selection and composes each side's index with it; Project
+/// meaning identity. Scan borrows the stored columns; Filter selects its
+/// passing rows and composes each side's index with that selection; Project
 /// narrows the pointer list; Join emits left_index∘probe_idx and
 /// right_index∘build_idx; Sort composes its stable order; Aggregate reads
 /// through the indexes and produces owned columns. Only Union and the

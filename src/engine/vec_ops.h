@@ -12,25 +12,24 @@
 
 namespace ads::engine {
 
-/// Vectorized operator kernels: predicate bitmaps, selection vectors,
-/// row-index composition, value gathers, a seeded hash-join table, a
-/// grouped-aggregation index and per-group aggregates. All kernels are
-/// deterministic and thread-count invariant: parallel sections use fixed
-/// grains on ThreadPool::ParallelFor (whose chunk boundaries never depend
-/// on the worker count), and every floating-point reduction happens
-/// sequentially in input row order. The differential harness exploits
-/// this: vectorized output must equal the row-at-a-time reference
-/// executor bit for bit.
+/// Vectorized operator kernels: filter selections, row-index composition,
+/// value gathers, a seeded hash-join table, a grouped-aggregation index
+/// and per-group aggregates. All kernels are deterministic and
+/// thread-count invariant: parallel sections use fixed grains on
+/// ThreadPool::ParallelFor (whose chunk boundaries never depend on the
+/// worker count), per-morsel outputs are concatenated in morsel order, and
+/// every floating-point reduction happens sequentially in input row order.
+/// The differential harness exploits this: vectorized output must equal
+/// the row-at-a-time reference executor bit for bit.
 ///
 /// Kernels read their inputs as (values, row index) pairs — a ColumnRef —
 /// so an operator can work on a column it never copied: row r of the
 /// relation is the column's row index[r].
 
-/// Fixed chunk grains (rows). kBitmapGrain is a multiple of 64 so no two
-/// chunks ever touch the same bitmap word.
-inline constexpr size_t kBitmapGrain = 4096;
+/// Fixed grains (rows). The filter and the join probe read their input one
+/// kMorselRows morsel at a time, each morsel into its own output.
+inline constexpr size_t kMorselRows = 4096;
 inline constexpr size_t kGatherGrain = 8192;
-inline constexpr size_t kProbeGrain = 2048;
 
 /// murmur3's fmix64 finalizer over key ^ seed, for avalanche on the low
 /// bits (bucket indices are low-bit masks). The seed picks buckets only:
@@ -57,26 +56,27 @@ struct ColumnRef {
   double F64(size_t r) const { return column->F64At(Row(r)); }
 };
 
-/// Number of 64-bit words a bitmap over `rows` rows needs.
-inline size_t BitmapWords(size_t rows) { return (rows + 63) / 64; }
+/// One conjunct of a filter: `value <op> literal`, the value widened to
+/// double — the comparison the reference executor makes.
+struct ColumnPredicate {
+  ColumnRef col;
+  CompareOp op = CompareOp::kEqual;
+  double literal = 0.0;
+};
 
-/// Fills `bits` (BitmapWords(rows) words) with one bit per row of `col`:
-/// 1 where `value <op> literal` holds. Parallel over word-aligned chunks.
-void PredicateBitmap(const ColumnRef& col, size_t rows, CompareOp op,
-                     double literal, common::ThreadPool& pool,
-                     uint64_t* bits);
-
-/// bits &= the bitmap PredicateBitmap would fill, one word at a time, so a
-/// conjunction needs no second bitmap.
-void PredicateBitmapAnd(const ColumnRef& col, size_t rows, CompareOp op,
-                        double literal, common::ThreadPool& pool,
-                        uint64_t* bits);
-
-/// Expands a bitmap into a selection vector of row indices (ascending),
-/// sized exactly (one popcount pass, then one fill). Returns the number
-/// of selected rows.
-size_t BitmapToSelection(const uint64_t* bits, size_t rows,
-                         common::AlignedBuffer<uint32_t>* sel);
+/// Fills `sel` with the rows of [0, rows) where every predicate holds,
+/// ascending and sized exactly; returns their number. Each kMorselRows
+/// morsel writes the rows passing the first predicate into a morsel-local
+/// selection, branch-free, and each later predicate re-tests only that
+/// morsel's survivors; the morsels are then concatenated in order. An i64
+/// column is compared as integers against the inclusive int64 range where
+/// the double comparison holds (int64 -> double is monotone, so that set
+/// is a range), found once per predicate by bisection: the selected rows
+/// are exactly those of the double comparison, NaN and infinities
+/// included. `preds` must not be empty.
+size_t SelectRows(const std::vector<ColumnPredicate>& preds, size_t rows,
+                  common::ThreadPool& pool,
+                  common::AlignedBuffer<uint32_t>* sel);
 
 /// out[i] = outer[sel[i]] for i in [0, n): composes a row index with a
 /// selection of its rows. A uint32 gather; no column value moves.
@@ -104,8 +104,8 @@ class JoinHashTable {
 
   /// Probes with `rows` rows of `probe_keys` in row order and appends
   /// every match as a (probe_row, build_row) pair, probe-major, build
-  /// ascending within a probe row. Deterministic two-pass parallel:
-  /// per-chunk match counts, a prefix over chunks, then disjoint writes.
+  /// ascending within a probe row. One pass: each kMorselRows morsel
+  /// appends its pairs to its own buffers, concatenated in morsel order.
   void Probe(const ColumnRef& probe_keys, size_t rows,
              common::ThreadPool& pool,
              common::AlignedBuffer<uint32_t>* probe_idx,
@@ -137,22 +137,35 @@ class GroupIndex {
   const common::AlignedBuffer<uint32_t>& representative_row() const {
     return representative_row_;
   }
+  /// Number of input rows in each group, indexed by group id.
+  const std::vector<int64_t>& group_rows() const { return group_rows_; }
 
  private:
   common::AlignedBuffer<uint32_t> group_of_row_;
   common::AlignedBuffer<uint32_t> representative_row_;
+  std::vector<int64_t> group_rows_;
 };
 
-/// Per-group aggregate `fn` over the `rows` rows of `in`, row r in group
-/// group_of_row[r], into `result`: one row per group, already of the
-/// aggregate's output type. group_rows[g] is group g's row count; COUNT
-/// and AVG read it, and COUNT(*) leaves `in` unread. Sequential in row
-/// order, the defined semantics: f64 sums add in row order, i64 sums wrap
-/// mod 2^64, AVG is (double)sum / count (0 for an empty group), and MIN and
-/// MAX of an empty group are 0.
-void AggregateByGroup(AggFn fn, const ColumnRef& in, size_t rows,
-                      const uint32_t* group_of_row,
-                      const std::vector<int64_t>& group_rows, Column* result);
+/// One aggregate of a grouped relation: `fn` over `in`. COUNT(*) has no
+/// input (`in.column` null).
+struct GroupedAgg {
+  AggFn fn = AggFn::kCount;
+  ColumnRef in;
+};
+
+/// Every aggregate in `aggs` over the `rows` rows of a relation, row r in
+/// group group_of_row[r]: one unnamed column per aggregate, one row per
+/// group, of the aggregate's output type (COUNT i64, AVG f64, the others
+/// their input's type). group_rows[g] is group g's row count; COUNT reads
+/// only it. Each distinct SUM/AVG input (one column through one row index)
+/// is summed once, sequentially in row order — f64 sums add in row order,
+/// i64 sums wrap mod 2^64 — and SUM is that sum, AVG that sum over the
+/// group's count (0 for an empty group). MIN and MAX take one pass each;
+/// of an empty group they are 0.
+std::vector<Column> AggregateByGroup(const std::vector<GroupedAgg>& aggs,
+                                     size_t rows,
+                                     const uint32_t* group_of_row,
+                                     const std::vector<int64_t>& group_rows);
 
 }  // namespace ads::engine
 

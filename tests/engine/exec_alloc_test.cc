@@ -1,6 +1,6 @@
 // Allocation regression test for the late-materializing RealExecutor.
 // Operators hand on views (column pointers plus row indexes), so one
-// Execute allocates bitmaps, selections, composed indexes, hash tables and
+// Execute allocates selections, composed indexes, hash tables and
 // the small aggregate outputs — never a copy of a scanned column. A
 // counting global operator new measures the bytes one Execute asks for,
 // so a per-operator copy of the input sneaking back in fails here.

@@ -340,8 +340,8 @@ std::string SortedRows(const ColumnTable& table) {
 TEST(ExecDifferentialTest, TpchTemplatesLogicalAndOptimized) {
   // Every template as authored, then under every rule configuration one
   // steering step can reach from the default. Knob 0.1 is large enough
-  // that lineitem crosses the bitmap and probe grains, so the parallel
-  // chunking runs under every configuration too. Cost-based choices
+  // that lineitem crosses the filter and probe morsel grain, so the
+  // parallel chunking runs under every configuration too. Cost-based choices
   // (join commute, where an eager aggregate goes) follow the catalog
   // statistics, which follow the data seed, so two seeds run.
   std::vector<std::pair<std::string, RuleConfig>> configs = {

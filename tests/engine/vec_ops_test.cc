@@ -1,15 +1,17 @@
-// Kernel-level tests for the vectorized primitives: bitmap shape and
-// chunk-boundary behavior, selection expansion, row-index composition,
-// gathers, join hash table chain order, group-index first-seen
-// numbering and per-group aggregates — each checked on both the Serial
-// (inline) and the Global pool, since serial/parallel bit-identity is the
-// property everything above relies on, and each read both in place and
-// through a row index.
+// Kernel-level tests for the vectorized primitives: morsel selections
+// (ragged tails, conjunctions, the i64 range compare), row-index
+// composition, gathers, join hash table chain order and morsel
+// concatenation, group-index first-seen numbering and per-group
+// aggregates — each checked on both the Serial (inline) and the Global
+// pool, since serial/parallel bit-identity is the property everything
+// above relies on, and each read both in place and through a row index.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -27,64 +29,84 @@ Column I64Column(const std::string& name, std::vector<int64_t> values) {
   return c;
 }
 
-TEST(VecOpsTest, PredicateBitmapMatchesScalarOnBothPools) {
-  // Cross a chunk boundary: kBitmapGrain rows plus a ragged tail.
-  const size_t rows = kBitmapGrain + 100;
-  Column c = Column::I64("v");
-  for (size_t r = 0; r < rows; ++r) {
-    c.AppendI64(static_cast<int64_t>(r % 97));
-  }
-  common::AlignedBuffer<uint64_t> serial_bits;
-  serial_bits.resize(BitmapWords(rows));
-  common::AlignedBuffer<uint64_t> parallel_bits;
-  parallel_bits.resize(BitmapWords(rows));
-  PredicateBitmap(ColumnRef{&c}, rows, CompareOp::kLess, 40.0,
-                  common::ThreadPool::Serial(), serial_bits.data());
-  PredicateBitmap(ColumnRef{&c}, rows, CompareOp::kLess, 40.0,
-                  common::ThreadPool::Global(), parallel_bits.data());
-  for (size_t w = 0; w < serial_bits.size(); ++w) {
-    EXPECT_EQ(serial_bits[w], parallel_bits[w]) << "word " << w;
-  }
-  for (size_t r = 0; r < rows; ++r) {
-    const bool expected = (r % 97) < 40;
-    const bool got = (serial_bits[r / 64] >> (r % 64)) & 1;
-    ASSERT_EQ(got, expected) << "row " << r;
-  }
+std::vector<uint32_t> Select(const std::vector<ColumnPredicate>& preds,
+                             size_t rows, common::ThreadPool& pool) {
+  common::AlignedBuffer<uint32_t> sel;
+  const size_t n = SelectRows(preds, rows, pool, &sel);
+  EXPECT_EQ(n, sel.size());
+  return std::vector<uint32_t>(sel.begin(), sel.end());
 }
 
-TEST(VecOpsTest, PredicateBitmapReadsThroughRowIndex) {
+bool Compare(CompareOp op, double a, double b) {
+  switch (op) {
+    case CompareOp::kLess:
+      return a < b;
+    case CompareOp::kLessEqual:
+      return a <= b;
+    case CompareOp::kEqual:
+      return a == b;
+    case CompareOp::kGreater:
+      return a > b;
+    case CompareOp::kGreaterEqual:
+      return a >= b;
+  }
+  return false;
+}
+
+constexpr CompareOp kAllOps[] = {CompareOp::kLess, CompareOp::kLessEqual,
+                                 CompareOp::kEqual, CompareOp::kGreater,
+                                 CompareOp::kGreaterEqual};
+
+TEST(VecOpsTest, SelectRowsMatchesScalarOnBothPools) {
+  // Cross morsel boundaries: two morsels plus a ragged tail.
+  const size_t rows = 2 * kMorselRows + 100;
+  Column c = Column::I64("v");
+  std::vector<uint32_t> want;
+  for (size_t r = 0; r < rows; ++r) {
+    c.AppendI64(static_cast<int64_t>(r % 97));
+    if (r % 97 < 40) want.push_back(static_cast<uint32_t>(r));
+  }
+  const std::vector<ColumnPredicate> less = {
+      {ColumnRef{&c}, CompareOp::kLess, 40.0}};
+  EXPECT_EQ(Select(less, rows, common::ThreadPool::Serial()), want);
+  EXPECT_EQ(Select(less, rows, common::ThreadPool::Global()), want);
+}
+
+TEST(VecOpsTest, SelectRowsReadsThroughRowIndex) {
   // Row r of the relation is column row index[r]: here the column read
-  // backwards, over more than one bitmap chunk.
-  const size_t rows = kBitmapGrain + 70;
+  // backwards, over more than one morsel.
+  const size_t rows = kMorselRows + 70;
   Column c = Column::F64("v");
   common::AlignedBuffer<uint32_t> index;
+  std::vector<uint32_t> want;
   for (size_t r = 0; r < rows; ++r) {
     c.AppendF64(static_cast<double>(r % 13));
     index.push_back(static_cast<uint32_t>(rows - 1 - r));
+    if ((rows - 1 - r) % 13 == 5) want.push_back(static_cast<uint32_t>(r));
   }
-  common::AlignedBuffer<uint64_t> bits;
-  bits.resize(BitmapWords(rows));
-  PredicateBitmap(ColumnRef{&c, index.data()}, rows, CompareOp::kEqual, 5.0,
-                  common::ThreadPool::Global(), bits.data());
-  for (size_t r = 0; r < rows; ++r) {
-    const bool expected = ((rows - 1 - r) % 13) == 5;
-    ASSERT_EQ(((bits[r / 64] >> (r % 64)) & 1) != 0, expected) << "row " << r;
+  for (common::ThreadPool* pool :
+       {&common::ThreadPool::Serial(), &common::ThreadPool::Global()}) {
+    EXPECT_EQ(Select({{ColumnRef{&c, index.data()}, CompareOp::kEqual, 5.0}},
+                     rows, *pool),
+              want);
   }
 }
 
-TEST(VecOpsTest, PredicateBitmapAndMatchesAndOfFullBitmaps) {
-  // ANDing a predicate into a bitmap equals the AND of the two full
-  // bitmaps, whether the first one left a word dense or sparse, ragged
-  // tail word included, on both pools and read in place or through an
-  // index.
-  const size_t rows = 2 * kBitmapGrain + 37;
+TEST(VecOpsTest, SelectRowsConjunctionIsIntersectionOfItsPredicates) {
+  // A conjunction selects exactly the rows every one of its predicates
+  // selects alone, in ascending order, whether the first predicate left a
+  // morsel dense, sparse or empty, ragged tail included, on both pools
+  // and read in place or through an index.
+  const size_t rows = 3 * kMorselRows + 37;
   Column a = Column::I64("a");
   Column b = Column::F64("b");
   common::AlignedBuffer<uint32_t> index;
   for (size_t r = 0; r < rows; ++r) {
-    // Dense in the first half, sparse in the second.
-    a.AppendI64(r < rows / 2 ? static_cast<int64_t>(r % 10)
-                             : static_cast<int64_t>(r % 97));
+    // Dense in the first morsel, sparse in the second, none below 8 in
+    // the third.
+    a.AppendI64(r < kMorselRows       ? static_cast<int64_t>(r % 10)
+                : r < 2 * kMorselRows ? static_cast<int64_t>(r % 97)
+                                      : 50);
     b.AppendF64(static_cast<double>((r * 7) % 31));
     index.push_back(static_cast<uint32_t>((r * 5) % rows));  // 5 ∤ rows
   }
@@ -92,44 +114,84 @@ TEST(VecOpsTest, PredicateBitmapAndMatchesAndOfFullBitmaps) {
                               static_cast<const uint32_t*>(index.data())}) {
     for (common::ThreadPool* pool :
          {&common::ThreadPool::Serial(), &common::ThreadPool::Global()}) {
-      const size_t words = BitmapWords(rows);
-      common::AlignedBuffer<uint64_t> first;
-      common::AlignedBuffer<uint64_t> second;
-      first.resize(words);
-      second.resize(words);
-      PredicateBitmap(ColumnRef{&a, idx}, rows, CompareOp::kLess, 8.0, *pool,
-                      first.data());
-      PredicateBitmap(ColumnRef{&b, idx}, rows, CompareOp::kGreaterEqual,
-                      12.0, *pool, second.data());
-      common::AlignedBuffer<uint64_t> refined = first;
-      PredicateBitmapAnd(ColumnRef{&b, idx}, rows, CompareOp::kGreaterEqual,
-                         12.0, *pool, refined.data());
-      for (size_t w = 0; w < words; ++w) {
-        ASSERT_EQ(refined[w], first[w] & second[w]) << "word " << w;
+      const ColumnPredicate first{ColumnRef{&a, idx}, CompareOp::kLess, 8.0};
+      const ColumnPredicate second{ColumnRef{&b, idx},
+                                   CompareOp::kGreaterEqual, 12.0};
+      const ColumnPredicate third{ColumnRef{&a, idx}, CompareOp::kGreater,
+                                  0.5};
+      const std::vector<uint32_t> s1 = Select({first}, rows, *pool);
+      const std::vector<uint32_t> s2 = Select({second}, rows, *pool);
+      const std::vector<uint32_t> s3 = Select({third}, rows, *pool);
+      std::vector<uint32_t> s12;
+      std::set_intersection(s1.begin(), s1.end(), s2.begin(), s2.end(),
+                            std::back_inserter(s12));
+      std::vector<uint32_t> want;
+      std::set_intersection(s12.begin(), s12.end(), s3.begin(), s3.end(),
+                            std::back_inserter(want));
+      ASSERT_FALSE(want.empty());
+      for (const auto* s : {&s1, &s2, &s3}) {
+        EXPECT_TRUE(std::is_sorted(s->begin(), s->end()));
+        EXPECT_EQ(std::adjacent_find(s->begin(), s->end()), s->end());
+        EXPECT_TRUE(s->empty() || s->back() < rows);
       }
+      EXPECT_EQ(Select({first, second, third}, rows, *pool), want);
+      EXPECT_EQ(Select({third, second, first}, rows, *pool), want);
     }
   }
 }
 
-TEST(VecOpsTest, BitmapToSelectionAscendingAndTailMasked) {
-  const size_t rows = 130;  // three words, ragged tail
-  common::AlignedBuffer<uint64_t> bits;
-  bits.resize(BitmapWords(rows));
-  for (size_t w = 0; w < bits.size(); ++w) {
-    // Odd rows in the high nibbles, padding bits set too.
-    bits[w] = 0xaaaaaaaaaaaaaaaaull & 0xf0f0f0f0f0f0f0f0ull;
+TEST(VecOpsTest, SelectRowsI64RangeMatchesDoubleCompare) {
+  // The i64 path compares integers against a precomputed int64 range; the
+  // rows it selects must be exactly those where the double comparison
+  // holds, at the edges of double precision and of int64, for NaN and
+  // infinite literals, and for literals no int64 equals. Truncating the
+  // literal to an integer fails here (2.5, 2^53 + 1 == 2^53, 2^63).
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const std::vector<int64_t> values = {
+      kMin, -k53 - 1, -k53, -1, 0, 2, 3, k53 - 1, k53, k53 + 1,
+      int64_t{1} << 62, kMax};
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> literals = {
+      std::numeric_limits<double>::quiet_NaN(), inf, -inf, 0.0, -0.0, 2.0,
+      2.5, -2.5, std::ldexp(1.0, 53), std::ldexp(1.0, 63),
+      -std::ldexp(1.0, 63)};
+
+  // One morsel plus a ragged tail, every value on both sides of the
+  // boundary; the index reads the column back to front.
+  const size_t rows = kMorselRows + 2 * values.size() + 5;
+  Column v = Column::I64("v");
+  Column zero = Column::F64("z");
+  common::AlignedBuffer<uint32_t> index;
+  for (size_t r = 0; r < rows; ++r) {
+    v.AppendI64(values[(r * 7) % values.size()]);
+    zero.AppendF64(0.0);
+    index.push_back(static_cast<uint32_t>(rows - 1 - r));
   }
-  common::AlignedBuffer<uint32_t> sel;
-  const size_t n = BitmapToSelection(bits.data(), rows, &sel);
-  ASSERT_GT(n, 0u);
-  EXPECT_EQ(sel.size(), n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t r = sel[i];
-    EXPECT_LT(r, rows);
-    EXPECT_EQ(r % 2, 1u);       // odd
-    EXPECT_GE(r % 8, 4u);       // high nibble
-    if (i > 0) {
-      EXPECT_LT(sel[i - 1], r);  // ascending
+  for (const uint32_t* idx : {static_cast<const uint32_t*>(nullptr),
+                              static_cast<const uint32_t*>(index.data())}) {
+    const ColumnRef ref{&v, idx};
+    for (CompareOp op : kAllOps) {
+      for (double lit : literals) {
+        std::vector<uint32_t> want;
+        for (size_t r = 0; r < rows; ++r) {
+          if (Compare(op, static_cast<double>(ref.I64(r)), lit)) {
+            want.push_back(static_cast<uint32_t>(r));
+          }
+        }
+        const ColumnPredicate pred{ref, op, lit};
+        // As the first predicate and as a later one, re-testing survivors.
+        const ColumnPredicate all{ColumnRef{&zero, idx}, CompareOp::kEqual,
+                                  0.0};
+        for (common::ThreadPool* pool :
+             {&common::ThreadPool::Serial(), &common::ThreadPool::Global()}) {
+          ASSERT_EQ(Select({pred}, rows, *pool), want)
+              << CompareOpName(op) << " " << lit;
+          ASSERT_EQ(Select({all, pred}, rows, *pool), want)
+              << CompareOpName(op) << " " << lit << " (refined)";
+        }
+      }
     }
   }
 }
@@ -263,6 +325,54 @@ TEST(VecOpsTest, JoinHashTableEmptySides) {
   EXPECT_EQ(probe_idx.size(), 0u);
 }
 
+TEST(VecOpsTest, JoinHashTableProbeAcrossMorselsMatchesNestedLoop) {
+  // Three morsels plus a ragged tail: the first mixes hits and misses,
+  // the second has no match, the third matches a five-fold duplicated
+  // build key on every row, and the tail mixes again. Pairs must equal a
+  // nested loop's, in its order, on both pools and through a row index.
+  std::vector<int64_t> build_keys;
+  for (int64_t k = 0; k < 100; ++k) build_keys.push_back(k);
+  for (int i = 0; i < 4; ++i) build_keys.push_back(7);  // 7 five times
+  build_keys.push_back(42);                             // 42 twice
+  Column build = I64Column("b", build_keys);
+  const size_t rows = 3 * kMorselRows + 123;
+  Column probe = Column::I64("p");
+  common::AlignedBuffer<uint32_t> index;
+  for (size_t r = 0; r < rows; ++r) {
+    int64_t key = static_cast<int64_t>(r % 150);  // 100..149 miss
+    if (r / kMorselRows == 1) key = 1000 + static_cast<int64_t>(r);
+    if (r / kMorselRows == 2) key = 7;
+    probe.AppendI64(key);
+    index.push_back(static_cast<uint32_t>((r * 3) % rows));  // 3 ∤ rows
+  }
+  JoinHashTable ht;
+  ht.Build(ColumnRef{&build}, build.size(), 0x5eed);
+  for (const uint32_t* idx : {static_cast<const uint32_t*>(nullptr),
+                              static_cast<const uint32_t*>(index.data())}) {
+    const ColumnRef keys{&probe, idx};
+    std::vector<uint32_t> want_probe;
+    std::vector<uint32_t> want_build;
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < build_keys.size(); ++j) {
+        if (keys.I64(i) == build_keys[j]) {
+          want_probe.push_back(static_cast<uint32_t>(i));
+          want_build.push_back(static_cast<uint32_t>(j));
+        }
+      }
+    }
+    for (common::ThreadPool* pool :
+         {&common::ThreadPool::Serial(), &common::ThreadPool::Global()}) {
+      common::AlignedBuffer<uint32_t> probe_idx;
+      common::AlignedBuffer<uint32_t> build_idx;
+      ht.Probe(keys, rows, *pool, &probe_idx, &build_idx);
+      EXPECT_EQ(std::vector<uint32_t>(probe_idx.begin(), probe_idx.end()),
+                want_probe);
+      EXPECT_EQ(std::vector<uint32_t>(build_idx.begin(), build_idx.end()),
+                want_build);
+    }
+  }
+}
+
 TEST(VecOpsTest, GroupIndexFirstSeenOrder) {
   Column k1 = I64Column("a", {5, 5, 9, 5, 9, 2});
   Column k2 = I64Column("b", {1, 1, 1, 2, 1, 1});
@@ -279,6 +389,15 @@ TEST(VecOpsTest, GroupIndexFirstSeenOrder) {
   EXPECT_EQ(gi.representative_row()[1], 2u);
   EXPECT_EQ(gi.representative_row()[2], 3u);
   EXPECT_EQ(gi.representative_row()[3], 5u);
+  EXPECT_EQ(gi.group_rows(), (std::vector<int64_t>{2, 2, 1, 1}));
+
+  // A different seed permutes slots but not the group ids.
+  GroupIndex reseeded;
+  reseeded.Build({ColumnRef{&k1}, ColumnRef{&k2}}, k1.size(), 0x9999);
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(reseeded.group_of_row()[r], want[r]) << "row " << r;
+  }
+  EXPECT_EQ(reseeded.group_rows(), gi.group_rows());
 }
 
 TEST(VecOpsTest, GroupIndexManyGroupsThroughRowIndexInFirstSeenOrder) {
@@ -300,6 +419,7 @@ TEST(VecOpsTest, GroupIndexManyGroupsThroughRowIndexInFirstSeenOrder) {
   }
   for (size_t g = 0; g < gi.num_groups(); ++g) {
     EXPECT_EQ(gi.representative_row()[g], 2 * g);
+    EXPECT_EQ(gi.group_rows()[g], 2);
   }
 }
 
@@ -323,49 +443,63 @@ TEST(VecOpsTest, GroupIndexTwoKeysThroughRowIndexesMatchesFirstSeenMap) {
 
   std::map<std::pair<int64_t, int64_t>, uint32_t> first_seen;
   std::vector<uint32_t> representative;
+  std::vector<int64_t> group_rows;
   for (size_t r = 0; r < rows; ++r) {
     const std::pair<int64_t, int64_t> key{a.I64At(ia[r]), b.I64At(ib[r])};
     auto [it, fresh] = first_seen.emplace(
         key, static_cast<uint32_t>(first_seen.size()));
-    if (fresh) representative.push_back(static_cast<uint32_t>(r));
+    if (fresh) {
+      representative.push_back(static_cast<uint32_t>(r));
+      group_rows.push_back(0);
+    }
+    ++group_rows[it->second];
     ASSERT_EQ(gi.group_of_row()[r], it->second) << "row " << r;
   }
   ASSERT_EQ(gi.num_groups(), first_seen.size());
   for (size_t g = 0; g < gi.num_groups(); ++g) {
     EXPECT_EQ(gi.representative_row()[g], representative[g]) << "group " << g;
   }
+  EXPECT_EQ(gi.group_rows(), group_rows);
 }
 
 TEST(VecOpsTest, AggregateByGroupThroughRowIndex) {
   // Each aggregate over values read through a row index equals a plain
-  // row-order loop; group 3 has no rows, so it reads the identities.
+  // row-order loop; group 3 has no rows, so it reads the identities. SUM
+  // and AVG of one input share a sum, while the same column through
+  // another index is a different input.
   Column iv = I64Column("iv", {4, -9, 12, 7, -3, 15});
   Column fv = Column::F64("fv");
   for (double v : {0.5, -1.25, 3.0, 0.1, 2.2, -0.7}) fv.AppendF64(v);
   const std::vector<uint32_t> index = {5, 0, 3, 3, 1, 4, 2, 0};
+  const std::vector<uint32_t> other = {0, 1, 2, 3, 4, 5, 0, 1};
   const std::vector<uint32_t> group_of_row = {0, 1, 0, 2, 1, 0, 2, 1};
   const std::vector<int64_t> group_rows = {3, 3, 2, 0};
   const size_t rows = index.size();
   const size_t groups = group_rows.size();
 
-  auto run = [&](AggFn fn, const Column& in, ColumnType out_type) {
-    Column out("out", out_type);
-    out.Resize(groups);
-    AggregateByGroup(fn, ColumnRef{&in, index.data()}, rows,
-                     group_of_row.data(), group_rows, &out);
-    return out;
-  };
-  const Column count = run(AggFn::kCount, iv, ColumnType::kI64);
-  const Column isum = run(AggFn::kSum, iv, ColumnType::kI64);
-  const Column imin = run(AggFn::kMin, iv, ColumnType::kI64);
-  const Column imax = run(AggFn::kMax, iv, ColumnType::kI64);
-  const Column iavg = run(AggFn::kAvg, iv, ColumnType::kF64);
-  const Column fsum = run(AggFn::kSum, fv, ColumnType::kF64);
-  const Column favg = run(AggFn::kAvg, fv, ColumnType::kF64);
+  const ColumnRef i_in{&iv, index.data()};
+  const ColumnRef f_in{&fv, index.data()};
+  const ColumnRef i_other{&iv, other.data()};
+  const std::vector<GroupedAgg> aggs = {
+      {AggFn::kAvg, i_in},  {AggFn::kCount, {}},   {AggFn::kSum, i_in},
+      {AggFn::kMin, i_in},  {AggFn::kMax, i_in},   {AggFn::kSum, f_in},
+      {AggFn::kAvg, f_in},  {AggFn::kSum, i_other}};
+  const std::vector<Column> out =
+      AggregateByGroup(aggs, rows, group_of_row.data(), group_rows);
+  const std::vector<ColumnType> types = {
+      ColumnType::kF64, ColumnType::kI64, ColumnType::kI64, ColumnType::kI64,
+      ColumnType::kI64, ColumnType::kF64, ColumnType::kF64, ColumnType::kI64};
+  ASSERT_EQ(out.size(), aggs.size());
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    EXPECT_EQ(out[a].type(), types[a]) << "aggregate " << a;
+    ASSERT_EQ(out[a].size(), groups) << "aggregate " << a;
+  }
+
   for (size_t g = 0; g < groups; ++g) {
     int64_t sum = 0;
     int64_t lo = 0;
     int64_t hi = 0;
+    int64_t other_sum = 0;
     double fsum_want = 0.0;
     bool seen = false;
     for (size_t r = 0; r < rows; ++r) {
@@ -376,16 +510,18 @@ TEST(VecOpsTest, AggregateByGroupThroughRowIndex) {
       hi = seen ? std::max(hi, v) : v;
       seen = true;
       fsum_want += fv.F64At(index[r]);
+      other_sum += iv.I64At(other[r]);
     }
     const auto n = static_cast<double>(group_rows[g]);
-    EXPECT_EQ(count.I64At(g), group_rows[g]) << "group " << g;
-    EXPECT_EQ(isum.I64At(g), sum) << "group " << g;
-    EXPECT_EQ(imin.I64At(g), lo) << "group " << g;
-    EXPECT_EQ(imax.I64At(g), hi) << "group " << g;
-    EXPECT_EQ(iavg.F64At(g), n == 0 ? 0.0 : static_cast<double>(sum) / n)
+    EXPECT_EQ(out[0].F64At(g), n == 0 ? 0.0 : static_cast<double>(sum) / n)
         << "group " << g;
-    EXPECT_EQ(fsum.F64At(g), fsum_want) << "group " << g;
-    EXPECT_EQ(favg.F64At(g), n == 0 ? 0.0 : fsum_want / n) << "group " << g;
+    EXPECT_EQ(out[1].I64At(g), group_rows[g]) << "group " << g;
+    EXPECT_EQ(out[2].I64At(g), sum) << "group " << g;
+    EXPECT_EQ(out[3].I64At(g), lo) << "group " << g;
+    EXPECT_EQ(out[4].I64At(g), hi) << "group " << g;
+    EXPECT_EQ(out[5].F64At(g), fsum_want) << "group " << g;
+    EXPECT_EQ(out[6].F64At(g), n == 0 ? 0.0 : fsum_want / n) << "group " << g;
+    EXPECT_EQ(out[7].I64At(g), other_sum) << "group " << g;
   }
 }
 
