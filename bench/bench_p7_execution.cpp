@@ -15,10 +15,11 @@
 //   - timing and cardinality tables (suppressed under --smoke so the
 //     deterministic stdout stays diffable);
 //   - machine-readable metrics as JSON (--out=PATH, default
-//     BENCH_p7.json). A full run adds each template's self time per
-//     operator kind in ns per row read, from the OperatorStats of the
-//     timed runs, next to a measured memcpy bandwidth over lineitem's
-//     bytes.
+//     BENCH_p7.json), beside the generator knob, the true TPC-H SF, the
+//     pool's worker count and nproc. A full run adds each template's self
+//     time per operator kind in ns per row read, from the OperatorStats
+//     of the timed runs, next to a measured memcpy bandwidth over
+//     lineitem's bytes.
 //
 // `--smoke` shrinks the generator knob and repetitions for CI.
 
@@ -33,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -115,6 +117,10 @@ void WriteJson(const std::string& path) {
   std::fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
   std::fprintf(f, "  \"generator_knob\": %.17g,\n", g_generator_knob);
   std::fprintf(f, "  \"tpch_sf\": %.17g,\n", g_tpch_sf);
+  // The pool that produced the timings: 0 workers runs inline (serial).
+  std::fprintf(f, "  \"pool_workers\": %zu,\n",
+               common::ThreadPool::Global().worker_count());
+  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"metrics\": {\n");
   for (size_t i = 0; i < g_metrics.size(); ++i) {
     std::fprintf(f, "    \"%s\": %.17g%s\n", g_metrics[i].first.c_str(),

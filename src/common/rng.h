@@ -35,9 +35,14 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Normal draw.
+  /// Normal draw; stddev 0 returns `mean`. A standard normal scaled and
+  /// shifted — libstdc++'s own formula for normal_distribution(mean,
+  /// stddev), so the values and the engine draws are the same, without
+  /// that constructor's stddev > 0 precondition.
   double Normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    ADS_CHECK(stddev >= 0.0) << "Normal stddev must be >= 0: " << stddev;
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev +
+           mean;
   }
 
   /// Log-normal draw (parameters are of the underlying normal).

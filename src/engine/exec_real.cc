@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -17,6 +18,12 @@ namespace {
 /// from data or time — so a plan re-executed on the same store is
 /// bit-identical, across runs and across ADS_THREADS.
 constexpr uint64_t kHashSeed = 0x8f3a96cd15ce1bd3ull;
+
+/// The sort order of f64 keys, a strict weak order: numbers ascending,
+/// NaN after every number; NaNs, and -0.0 with +0.0, tie.
+bool SortsBefore(double a, double b) {
+  return a < b || (!std::isnan(a) && std::isnan(b));
+}
 
 double Now() {
   return std::chrono::duration<double>(
@@ -335,7 +342,8 @@ common::Result<View> ExecSort(const PlanNode& node, const View& input,
                        if (k.column->type() == ColumnType::kI64) {
                          if (k.I64(a) != k.I64(b)) return k.I64(a) < k.I64(b);
                        } else {
-                         if (k.F64(a) != k.F64(b)) return k.F64(a) < k.F64(b);
+                         if (SortsBefore(k.F64(a), k.F64(b))) return true;
+                         if (SortsBefore(k.F64(b), k.F64(a))) return false;
                        }
                      }
                      return false;

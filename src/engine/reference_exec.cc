@@ -1,6 +1,7 @@
 #include "engine/reference_exec.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -39,6 +40,12 @@ common::Status MissingColumn(const std::string& column,
 
 double CellAsDouble(const Cell& c, ColumnType type) {
   return type == ColumnType::kI64 ? static_cast<double>(c.i) : c.f;
+}
+
+/// f64 sort order: numbers ascending, NaN after every number; NaNs, and
+/// -0.0 with +0.0, tie (a strict weak order, as std::stable_sort needs).
+bool SortsBefore(double a, double b) {
+  return a < b || (!std::isnan(a) && std::isnan(b));
 }
 
 bool EvalPredicate(double lhs, CompareOp op, double rhs) {
@@ -394,7 +401,8 @@ common::Result<RowBatch> ExecSort(const TableStore& store,
           if (batch.schema[idx].second == ColumnType::kI64) {
             if (a[idx].i != b[idx].i) return a[idx].i < b[idx].i;
           } else {
-            if (a[idx].f != b[idx].f) return a[idx].f < b[idx].f;
+            if (SortsBefore(a[idx].f, b[idx].f)) return true;
+            if (SortsBefore(b[idx].f, a[idx].f)) return false;
           }
         }
         return false;

@@ -1,6 +1,7 @@
 #include "engine/vec_ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <type_traits>
 #include <utility>
 
@@ -28,6 +29,21 @@ void WithRows(const uint32_t* index, Fn&& fn) {
   } else {
     fn(IndexedRows{index});
   }
+}
+
+/// Multiply-shift hashing: the top 64 - `shift` bits of
+/// (key ^ seed) * 2^64/phi, a slot in a table of 2^(64 - shift). One
+/// multiply per key; the product's top bits depend on every key bit. The
+/// seed picks slots only: join chains and group ids keep a defined order
+/// whatever it is.
+size_t HashSlot(int64_t key, uint64_t seed, unsigned shift) {
+  return static_cast<size_t>(
+      ((static_cast<uint64_t>(key) ^ seed) * 0x9E3779B97F4A7C15ull) >> shift);
+}
+
+/// The shift that makes HashSlot address a power-of-two table of `slots`.
+unsigned ShiftFor(size_t slots) {
+  return 64 - static_cast<unsigned>(std::countr_zero(slots));
 }
 
 /// The int64 values v for which cmp(double(v), literal) holds: an
@@ -240,10 +256,57 @@ void ExtremeTyped(bool is_min, const T* values, const uint32_t* index,
   for (size_t g = 0; g < best.size(); ++g) Put<T>(result, g, best[g]);
 }
 
-size_t NextPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
+/// A group slot: its key beside its id (-1 marks an empty slot), so a
+/// lookup reads one slot.
+struct GroupSlot {
+  int64_t key = 0;
+  int32_t group = -1;
+};
+
+/// Numbers the `rows` values of one i64 key column, read through `row`,
+/// with dense group ids in first-seen order: group_of_row[r] is row r's
+/// id, representative gets each group's first row, group_rows its row
+/// count. Open addressing with linear probing, at most a quarter full: the
+/// table starts at 64 slots and doubles as groups arrive. Ids are handed
+/// out in first-seen order, whatever slot a key hashes to.
+template <typename Row>
+void NumberGroups(const int64_t* values, Row row, size_t rows, uint64_t seed,
+                  uint32_t* group_of_row,
+                  common::AlignedBuffer<uint32_t>* representative,
+                  std::vector<int64_t>* group_rows) {
+  representative->clear();
+  group_rows->clear();
+  std::vector<GroupSlot> slots(64);
+  unsigned shift = ShiftFor(slots.size());
+  size_t mask = slots.size() - 1;
+  for (size_t r = 0; r < rows; ++r) {
+    const int64_t key = values[row(r)];
+    size_t s = HashSlot(key, seed, shift);
+    while (slots[s].group >= 0 && slots[s].key != key) s = (s + 1) & mask;
+    if (slots[s].group >= 0) {
+      const auto g = static_cast<uint32_t>(slots[s].group);
+      group_of_row[r] = g;
+      ++(*group_rows)[g];
+      continue;
+    }
+    const auto g = static_cast<uint32_t>(group_rows->size());
+    slots[s] = GroupSlot{key, static_cast<int32_t>(g)};
+    group_of_row[r] = g;
+    representative->push_back(static_cast<uint32_t>(r));
+    group_rows->push_back(1);
+    if (4 * group_rows->size() > slots.size()) {
+      std::vector<GroupSlot> grown(2 * slots.size());
+      shift = ShiftFor(grown.size());
+      mask = grown.size() - 1;
+      for (const GroupSlot& slot : slots) {
+        if (slot.group < 0) continue;
+        size_t at = HashSlot(slot.key, seed, shift);
+        while (grown[at].group >= 0) at = (at + 1) & mask;
+        grown[at] = slot;
+      }
+      slots = std::move(grown);
+    }
+  }
 }
 
 }  // namespace
@@ -306,8 +369,11 @@ void JoinHashTable::Build(const ColumnRef& keys, size_t rows, uint64_t seed) {
   WithRows(keys.index, [&](auto row) {
     for (size_t i = 0; i < rows; ++i) keys_[i] = v[row(i)];
   });
-  const size_t buckets = NextPow2(std::max<size_t>(16, 2 * rows));
-  mask_ = buckets - 1;
+  // Four to eight buckets per build row leave at most about a fifth of
+  // them occupied, so few probe rows without a match pass the probe's
+  // bucket pass.
+  const size_t buckets = std::bit_ceil(std::max<size_t>(16, 4 * rows));
+  shift_ = ShiftFor(buckets);
   heads_.clear();
   heads_.EnsureCapacity(buckets);
   std::fill(heads_.begin(), heads_.end(), -1);
@@ -317,7 +383,7 @@ void JoinHashTable::Build(const ColumnRef& keys, size_t rows, uint64_t seed) {
   // build rows in ascending order — the probe then emits matches in the
   // same order a front-to-back nested loop would.
   for (size_t i = rows; i-- > 0;) {
-    const size_t bucket = HashJoinKey(keys_[i], seed_) & mask_;
+    const size_t bucket = HashSlot(keys_[i], seed_, shift_);
     next_[i] = heads_[bucket];
     heads_[bucket] = static_cast<int32_t>(i);
   }
@@ -337,20 +403,44 @@ void JoinHashTable::Probe(const ColumnRef& probe_keys, size_t rows,
   WithRows(probe_keys.index, [&](auto row) {
     common::parallel_for(
         pool, 0, rows, kMorselRows, [&](size_t lo, size_t hi) {
+          // Bucket pass, branch-free: every row is stored with its
+          // bucket's chain head, and the cursor advances only past rows
+          // whose bucket is occupied.
+          uint32_t cand_row[kMorselRows];
+          int32_t cand_head[kMorselRows];
+          size_t n = 0;
+          for (size_t i = lo; i < hi; ++i) {
+            const int32_t head =
+                heads_[HashSlot(probe[row(i)], seed_, shift_)];
+            cand_row[n] = static_cast<uint32_t>(i);
+            cand_head[n] = head;
+            n += head >= 0;
+          }
+          // Chain pass: only the candidates walk their chains, in row
+          // order, so pairs stay probe-major and build-ascending. Each
+          // chain entry is written as a pair and the cursor advances only
+          // past matching ones, branch-free; the buffers double when full.
           common::AlignedBuffer<uint32_t>& out_probe =
               probe_parts[lo / kMorselRows];
           common::AlignedBuffer<uint32_t>& out_build =
               build_parts[lo / kMorselRows];
-          for (size_t i = lo; i < hi; ++i) {
+          size_t m = 0;
+          for (size_t c = 0; c < n; ++c) {
+            const uint32_t i = cand_row[c];
             const int64_t key = probe[row(i)];
-            for (int32_t e = heads_[HashJoinKey(key, seed_) & mask_]; e >= 0;
+            for (int32_t e = cand_head[c]; e >= 0;
                  e = next_[static_cast<size_t>(e)]) {
-              if (keys_[static_cast<size_t>(e)] == key) {
-                out_probe.push_back(static_cast<uint32_t>(i));
-                out_build.push_back(static_cast<uint32_t>(e));
+              if (m == out_probe.size()) {
+                out_probe.resize(std::max<size_t>(16, 2 * m));
+                out_build.resize(out_probe.size());
               }
+              out_probe[m] = i;
+              out_build[m] = static_cast<uint32_t>(e);
+              m += keys_[static_cast<size_t>(e)] == key;
             }
           }
+          out_probe.resize(m);
+          out_build.resize(m);
         });
   });
   Concatenate(probe_parts, probe_idx);
@@ -371,67 +461,28 @@ void GroupIndex::Build(const std::vector<ColumnRef>& keys, size_t rows,
     }
     return;
   }
-  // Each key's values and row index, hoisted out of the row loop.
-  const size_t width = keys.size();
-  std::vector<const int64_t*> key_values(width);
-  std::vector<const uint32_t*> key_index(width);
-  for (size_t k = 0; k < width; ++k) {
-    ADS_CHECK(keys[k].column->type() == ColumnType::kI64)
-        << "group keys must be i64: " << keys[k].column->name();
-    key_values[k] = keys[k].column->i64_data();
-    key_index[k] = keys[k].index;
+  for (const ColumnRef& key : keys) {
+    ADS_CHECK(key.column->type() == ColumnType::kI64)
+        << "group keys must be i64: " << key.column->name();
   }
-  // Open-addressing table of group ids, linear probing, at most a quarter
-  // full: it starts at 64 slots and doubles as groups arrive. Ids are
-  // handed out in first-seen order, whatever bucket a key hashes to. Each
-  // group's key values sit in one flat groups x keys array, so a probe
-  // compares the row's keys with values at hand instead of reading its
-  // first row again, and a doubling rehashes from it.
-  auto hash_of = [&](const int64_t* key) {
-    uint64_t h = seed;
-    for (size_t k = 0; k < width; ++k) h = HashJoinKey(key[k], h);
-    return h;
+  auto number = [&](const int64_t* values, const uint32_t* index) {
+    WithRows(index, [&](auto row) {
+      NumberGroups(values, row, rows, seed, group_of_row_.data(),
+                   &representative_row_, &group_rows_);
+    });
   };
-  std::vector<int32_t> slot_group(64, -1);
-  size_t mask = slot_group.size() - 1;
-  std::vector<int64_t> group_keys;
-  std::vector<int64_t> row_keys(width);
-  int64_t* row_key = row_keys.data();
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t k = 0; k < width; ++k) {
-      row_key[k] = key_values[k][key_index[k] == nullptr ? r
-                                                         : key_index[k][r]];
+  number(keys[0].column->i64_data(), keys[0].index);
+  if (keys.size() == 1) return;
+  // Fold each further key in: its own ids, packed below the ids so far.
+  GroupIndex key_groups;
+  common::AlignedBuffer<int64_t> packed(rows);
+  for (size_t k = 1; k < keys.size(); ++k) {
+    key_groups.Build({keys[k]}, rows, seed);
+    for (size_t r = 0; r < rows; ++r) {
+      packed[r] = static_cast<int64_t>((uint64_t{group_of_row_[r]} << 32) |
+                                       key_groups.group_of_row()[r]);
     }
-    for (size_t slot = hash_of(row_key) & mask;; slot = (slot + 1) & mask) {
-      const int32_t g = slot_group[slot];
-      if (g < 0) {
-        const auto group = static_cast<uint32_t>(representative_row_.size());
-        slot_group[slot] = static_cast<int32_t>(group);
-        representative_row_.push_back(static_cast<uint32_t>(r));
-        group_rows_.push_back(1);
-        group_keys.insert(group_keys.end(), row_key, row_key + width);
-        group_of_row_[r] = group;
-        if (4 * group_rows_.size() > slot_group.size()) {
-          slot_group.assign(2 * slot_group.size(), -1);
-          mask = slot_group.size() - 1;
-          for (size_t id = 0; id < group_rows_.size(); ++id) {
-            size_t at = hash_of(group_keys.data() + id * width) & mask;
-            while (slot_group[at] >= 0) at = (at + 1) & mask;
-            slot_group[at] = static_cast<int32_t>(id);
-          }
-        }
-        break;
-      }
-      const int64_t* group_key =
-          group_keys.data() + static_cast<size_t>(g) * width;
-      size_t k = 0;
-      while (k < width && group_key[k] == row_key[k]) ++k;
-      if (k == width) {
-        group_of_row_[r] = static_cast<uint32_t>(g);
-        ++group_rows_[static_cast<size_t>(g)];
-        break;
-      }
-    }
+    number(packed.data(), nullptr);
   }
 }
 

@@ -31,19 +31,6 @@ namespace ads::engine {
 inline constexpr size_t kMorselRows = 4096;
 inline constexpr size_t kGatherGrain = 8192;
 
-/// murmur3's fmix64 finalizer over key ^ seed, for avalanche on the low
-/// bits (bucket indices are low-bit masks). The seed picks buckets only:
-/// chains and groups keep a defined order whatever it is.
-inline uint64_t HashJoinKey(int64_t key, uint64_t seed) {
-  uint64_t h = static_cast<uint64_t>(key) ^ seed;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
-}
-
 /// A column read through a row index: row r is `column` row index[r], or
 /// row r itself when `index` is nullptr (the identity — a stored column
 /// read in place).
@@ -92,7 +79,9 @@ void GatherColumn(const ColumnRef& src, size_t n, common::ThreadPool& pool,
 /// Hash-join build/probe over i64 keys, bucket-chained. Matches for one
 /// probe row come out in ascending build-row order (the chains are built
 /// back to front), which pins the operator's output order to the
-/// nested-loop order the reference executor produces.
+/// nested-loop order the reference executor produces. Join buckets and
+/// group slots both hash with one multiply-shift: the top bits of
+/// (key ^ seed) * 0x9E3779B97F4A7C15.
 class JoinHashTable {
  public:
   /// Builds over `rows` rows of the build side's key column (i64). `seed`
@@ -104,8 +93,11 @@ class JoinHashTable {
 
   /// Probes with `rows` rows of `probe_keys` in row order and appends
   /// every match as a (probe_row, build_row) pair, probe-major, build
-  /// ascending within a probe row. One pass: each kMorselRows morsel
-  /// appends its pairs to its own buffers, concatenated in morsel order.
+  /// ascending within a probe row. Two passes over each kMorselRows
+  /// morsel: a branch-free bucket pass lists the rows whose bucket is
+  /// occupied, with its chain head, in a morsel-local candidate list; then
+  /// only those candidates walk their chains, in row order, appending to
+  /// the morsel's own buffers, which are concatenated in morsel order.
   void Probe(const ColumnRef& probe_keys, size_t rows,
              common::ThreadPool& pool,
              common::AlignedBuffer<uint32_t>* probe_idx,
@@ -113,7 +105,7 @@ class JoinHashTable {
 
  private:
   uint64_t seed_ = 0;
-  size_t mask_ = 0;
+  unsigned shift_ = 64;  // bucket = hash >> shift_, set by Build
   common::AlignedBuffer<int64_t> keys_;
   common::AlignedBuffer<int32_t> heads_;  // bucket -> first build row or -1
   common::AlignedBuffer<int32_t> next_;   // build row -> next in chain or -1
@@ -126,6 +118,11 @@ class JoinHashTable {
 class GroupIndex {
  public:
   /// `keys` may be empty: every row lands in group 0 (global aggregate).
+  /// One loop numbers the first key's values; each further key folds in
+  /// as one packed i64 key, (ids so far << 32) | (that key's own ids),
+  /// numbered by the same loop. Ids are a bijection of the key tuples
+  /// seen so far, so the packed key's first-seen ids are exactly those of
+  /// the longer tuple.
   void Build(const std::vector<ColumnRef>& keys, size_t rows, uint64_t seed);
 
   size_t num_groups() const { return representative_row_.size(); }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -74,6 +77,22 @@ TEST(RngTest, NormalMomentsMatch) {
   double var = sq / kN - mean * mean;
   EXPECT_NEAR(mean, 10.0, 0.1);
   EXPECT_NEAR(var, 4.0, 0.2);
+}
+
+TEST(RngTest, NormalAtStddevZeroIsMeanAndOtherwiseTheLibrarysDraws) {
+  // Stddev 0 (a generator's default noise) returns the mean.
+  Rng r(19);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(r.Normal(3.25, 0.0), 3.25);
+  // Otherwise each value and each engine draw is the one a fresh
+  // std::normal_distribution would produce, so seeded streams are kept.
+  std::mt19937_64 copy = r.engine();
+  for (int i = 0; i < 10000; ++i) {
+    const double want = std::normal_distribution<double>(-1.5, 0.5)(copy);
+    ASSERT_EQ(std::bit_cast<uint64_t>(r.Normal(-1.5, 0.5)),
+              std::bit_cast<uint64_t>(want))
+        << "draw " << i;
+  }
+  EXPECT_TRUE(r.engine() == copy);
 }
 
 TEST(RngTest, ZipfIsSkewedTowardSmallIndices) {

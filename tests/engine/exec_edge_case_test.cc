@@ -1,7 +1,8 @@
 // Operator edge cases with concrete expected values (not differential):
 // empty join build sides, zero-row aggregation, filter selectivity 0 and
-// 1, and overflow-adjacent i64 sums where two's-complement wraparound is
-// the defined (and reference-matching) behavior.
+// 1, overflow-adjacent i64 sums where two's-complement wraparound is the
+// defined (and reference-matching) behavior, and the sort order of NaN
+// and signed-zero keys.
 
 #include <gtest/gtest.h>
 
@@ -158,6 +159,45 @@ TEST(ExecEdgeCaseTest, OverflowAdjacentSumsMatchReference) {
   EXPECT_EQ(
       static_cast<uint64_t>(vectorized.FindColumn("sum_f_val")->I64At(0)),
       expected);
+}
+
+TEST(ExecEdgeCaseTest, SortPutsNanLastAndKeepsTiesInInputOrder) {
+  // f64 sort keys follow one total order: numbers ascending, NaN after
+  // every number; NaNs tie, and so do -0.0 and +0.0, so ties keep their
+  // input order. Both executors, on both pools, return the same bits.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> keys = {3, nan, 1, 9, 8, nan, 2, 7, 0, 6, -0.0};
+  Column key = Column::F64("x");
+  Column id = Column::I64("id");
+  for (size_t i = 0; i < keys.size(); ++i) {
+    key.AppendF64(keys[i]);
+    id.AppendI64(static_cast<int64_t>(i));
+  }
+  ColumnTable table("t");
+  table.AddColumn(std::move(key));
+  table.AddColumn(std::move(id));
+  TableStore store;
+  store.AddTable(std::move(table));
+  auto plan = MakeSort(MakeScan(SpecFor(store, "t")), {"x"});
+
+  ReferenceExecutor reference(&store);
+  auto oracle = reference.Execute(*plan);
+  ASSERT_TRUE(oracle.ok()) << oracle.status();
+  const std::vector<int64_t> want_ids = {8, 10, 2, 6, 0, 9, 7, 4, 3, 1, 5};
+  ASSERT_EQ(oracle->num_rows(), want_ids.size());
+  for (size_t r = 0; r < want_ids.size(); ++r) {
+    EXPECT_EQ(oracle->FindColumn("id")->I64At(r), want_ids[r]) << "row " << r;
+  }
+  for (common::ThreadPool* pool :
+       {&common::ThreadPool::Serial(), &common::ThreadPool::Global()}) {
+    RealExecOptions options;
+    options.pool = pool;
+    auto vectorized = RealExecutor(&store, options).Execute(*plan);
+    ASSERT_TRUE(vectorized.ok()) << vectorized.status();
+    EXPECT_TRUE(vectorized->table.BitwiseEquals(oracle.value()))
+        << "vectorized:\n" << vectorized->table.Serialize()
+        << "reference:\n" << oracle->Serialize();
+  }
 }
 
 TEST(ExecEdgeCaseTest, UnsupportedShapesFailCleanly) {

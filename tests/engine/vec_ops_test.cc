@@ -1,7 +1,8 @@
 // Kernel-level tests for the vectorized primitives: morsel selections
 // (ragged tails, conjunctions, the i64 range compare), row-index
 // composition, gathers, join hash table chain order and morsel
-// concatenation, group-index first-seen numbering and per-group
+// concatenation, group-index first-seen numbering (one key and folded
+// key tuples), both hash tables on structured key sets, and per-group
 // aggregates — each checked on both the Serial (inline) and the Global
 // pool, since serial/parallel bit-identity is the property everything
 // above relies on, and each read both in place and through a row index.
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -424,42 +426,169 @@ TEST(VecOpsTest, GroupIndexManyGroupsThroughRowIndexInFirstSeenOrder) {
 }
 
 TEST(VecOpsTest, GroupIndexTwoKeysThroughRowIndexesMatchesFirstSeenMap) {
-  // Two keys, each read through its own row index (as after a join, one
-  // per input side), with duplicates on both: ids must follow the first
-  // time each (a, b) pair is seen.
+  // Two and three keys, each read through its own row index (as after a
+  // join, one per input side), with duplicates on all: ids must follow
+  // the first time each key tuple is seen. Three keys fold twice, so the
+  // packed ids of a fold are themselves folded again.
   Column a = Column::I64("a");
   Column b = Column::I64("b");
+  Column c = Column::I64("c");
   for (int64_t v = 0; v < 500; ++v) a.AppendI64(v % 7);
   for (int64_t v = 0; v < 300; ++v) b.AppendI64((v * v) % 5);
+  for (int64_t v = 0; v < 200; ++v) c.AppendI64(v % 3 == 0 ? -v : 1);
   const size_t rows = 1000;
   common::AlignedBuffer<uint32_t> ia;
   common::AlignedBuffer<uint32_t> ib;
+  common::AlignedBuffer<uint32_t> ic;
   for (size_t r = 0; r < rows; ++r) {
     ia.push_back(static_cast<uint32_t>((r * 3) % 500));
     ib.push_back(static_cast<uint32_t>((rows - 1 - r) % 300));
+    ic.push_back(static_cast<uint32_t>((r * r) % 200));
   }
-  GroupIndex gi;
-  gi.Build({ColumnRef{&a, ia.data()}, ColumnRef{&b, ib.data()}}, rows, 7);
+  const std::vector<ColumnRef> all = {ColumnRef{&a, ia.data()},
+                                      ColumnRef{&b, ib.data()},
+                                      ColumnRef{&c, ic.data()}};
+  size_t narrower_groups = 0;
+  for (size_t width : {2u, 3u}) {
+    const std::vector<ColumnRef> keys(all.begin(), all.begin() + width);
+    GroupIndex gi;
+    gi.Build(keys, rows, 7);
 
-  std::map<std::pair<int64_t, int64_t>, uint32_t> first_seen;
-  std::vector<uint32_t> representative;
-  std::vector<int64_t> group_rows;
-  for (size_t r = 0; r < rows; ++r) {
-    const std::pair<int64_t, int64_t> key{a.I64At(ia[r]), b.I64At(ib[r])};
-    auto [it, fresh] = first_seen.emplace(
-        key, static_cast<uint32_t>(first_seen.size()));
-    if (fresh) {
-      representative.push_back(static_cast<uint32_t>(r));
-      group_rows.push_back(0);
+    std::map<std::vector<int64_t>, uint32_t> first_seen;
+    std::vector<uint32_t> representative;
+    std::vector<int64_t> group_rows;
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<int64_t> key;
+      for (const ColumnRef& k : keys) key.push_back(k.I64(r));
+      auto [it, fresh] = first_seen.emplace(
+          key, static_cast<uint32_t>(first_seen.size()));
+      if (fresh) {
+        representative.push_back(static_cast<uint32_t>(r));
+        group_rows.push_back(0);
+      }
+      ++group_rows[it->second];
+      ASSERT_EQ(gi.group_of_row()[r], it->second)
+          << width << " keys, row " << r;
     }
-    ++group_rows[it->second];
-    ASSERT_EQ(gi.group_of_row()[r], it->second) << "row " << r;
+    ASSERT_GT(first_seen.size(), narrower_groups);  // each key splits groups
+    narrower_groups = first_seen.size();
+    ASSERT_EQ(gi.num_groups(), first_seen.size());
+    for (size_t g = 0; g < gi.num_groups(); ++g) {
+      EXPECT_EQ(gi.representative_row()[g], representative[g])
+          << width << " keys, group " << g;
+    }
+    EXPECT_EQ(gi.group_rows(), group_rows) << width << " keys";
   }
-  ASSERT_EQ(gi.num_groups(), first_seen.size());
-  for (size_t g = 0; g < gi.num_groups(); ++g) {
-    EXPECT_EQ(gi.representative_row()[g], representative[g]) << "group " << g;
+}
+
+/// Key sets a multiply-shift hash could mishandle: consecutive ids,
+/// strides of 2^k, negative keys, the int64 extremes, and keys that differ
+/// only above bit 48.
+std::vector<std::pair<std::string, std::vector<int64_t>>> StructuredKeySets() {
+  std::vector<std::pair<std::string, std::vector<int64_t>>> sets;
+  auto& consecutive = sets.emplace_back("consecutive", std::vector<int64_t>{});
+  for (int64_t v = 0; v < 3000; ++v) consecutive.second.push_back(v);
+  for (int k : {1, 3, 8, 12, 16, 20, 24, 32, 40}) {
+    auto& stride = sets.emplace_back("stride 2^" + std::to_string(k),
+                                     std::vector<int64_t>{});
+    for (int64_t v = 0; v < 600; ++v) stride.second.push_back(v << k);
   }
-  EXPECT_EQ(gi.group_rows(), group_rows);
+  auto& negative = sets.emplace_back("negative", std::vector<int64_t>{});
+  for (int64_t v = 1; v <= 1000; ++v) {
+    negative.second.push_back(-v);
+    negative.second.push_back(-v * (int64_t{1} << 20));
+  }
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  sets.emplace_back("extremes", std::vector<int64_t>{kMin, kMin + 1, -1, 0,
+                                                     1, kMax - 1, kMax});
+  auto& high = sets.emplace_back("above bit 48", std::vector<int64_t>{});
+  for (int64_t v = 0; v < 2048; ++v) {
+    high.second.push_back(static_cast<int64_t>(static_cast<uint64_t>(v)
+                                               << 49) |
+                          12345);
+  }
+  for (int64_t v = 1; v < 16; ++v) {
+    high.second.push_back(static_cast<int64_t>(static_cast<uint64_t>(v)
+                                               << 60));
+  }
+  return sets;
+}
+
+TEST(VecOpsTest, HashTablesOnStructuredKeysMatchNestedLoopAndFirstSeenMap) {
+  // Each key set builds a join table (every fifth key twice) probed by
+  // more than a morsel of rows, a third of which flip bit 62 of a key
+  // (misses, unless that lands on another key); the probe column is also
+  // grouped. Pairs must equal a nested loop's on both pools, and group ids
+  // a first-seen map's, read in place and through row indexes.
+  for (const auto& [name, set] : StructuredKeySets()) {
+    SCOPED_TRACE(name);
+    const size_t n = set.size();
+    std::vector<int64_t> build_keys = set;
+    for (size_t i = 0; i < n; i += 5) build_keys.push_back(set[i]);
+    Column build = I64Column("b", build_keys);
+    const size_t rows = kMorselRows + 301;  // ragged tail; 5 and 7 ∤ rows
+    Column probe = Column::I64("p");
+    for (size_t r = 0; r < rows; ++r) {
+      const int64_t key = set[(r * 7) % n];
+      probe.AppendI64(r % 3 == 0 ? key ^ (int64_t{1} << 62) : key);
+    }
+    common::AlignedBuffer<uint32_t> probe_index;
+    for (size_t r = 0; r < rows; ++r) {
+      probe_index.push_back(static_cast<uint32_t>((r * 5) % rows));
+    }
+    common::AlignedBuffer<uint32_t> build_index;
+    for (size_t r = build_keys.size(); r-- > 0;) {
+      build_index.push_back(static_cast<uint32_t>(r));
+    }
+    for (bool indexed : {false, true}) {
+      const ColumnRef b{&build, indexed ? build_index.data() : nullptr};
+      const ColumnRef p{&probe, indexed ? probe_index.data() : nullptr};
+      std::vector<uint32_t> want_probe;
+      std::vector<uint32_t> want_build;
+      for (size_t i = 0; i < rows; ++i) {
+        for (size_t j = 0; j < build_keys.size(); ++j) {
+          if (p.I64(i) == b.I64(j)) {
+            want_probe.push_back(static_cast<uint32_t>(i));
+            want_build.push_back(static_cast<uint32_t>(j));
+          }
+        }
+      }
+      JoinHashTable ht;
+      ht.Build(b, build_keys.size(), 0x8f3a96cd15ce1bd3ull);
+      for (common::ThreadPool* pool :
+           {&common::ThreadPool::Serial(), &common::ThreadPool::Global()}) {
+        common::AlignedBuffer<uint32_t> probe_idx;
+        common::AlignedBuffer<uint32_t> build_idx;
+        ht.Probe(p, rows, *pool, &probe_idx, &build_idx);
+        EXPECT_EQ(std::vector<uint32_t>(probe_idx.begin(), probe_idx.end()),
+                  want_probe);
+        EXPECT_EQ(std::vector<uint32_t>(build_idx.begin(), build_idx.end()),
+                  want_build);
+      }
+
+      GroupIndex gi;
+      gi.Build({p}, rows, 0x8f3a96cd15ce1bd3ull);
+      std::map<int64_t, uint32_t> first_seen;
+      std::vector<uint32_t> representative;
+      std::vector<int64_t> group_rows;
+      for (size_t r = 0; r < rows; ++r) {
+        auto [it, fresh] = first_seen.emplace(
+            p.I64(r), static_cast<uint32_t>(first_seen.size()));
+        if (fresh) {
+          representative.push_back(static_cast<uint32_t>(r));
+          group_rows.push_back(0);
+        }
+        ++group_rows[it->second];
+        ASSERT_EQ(gi.group_of_row()[r], it->second) << "row " << r;
+      }
+      ASSERT_EQ(gi.num_groups(), first_seen.size());
+      EXPECT_EQ(std::vector<uint32_t>(gi.representative_row().begin(),
+                                      gi.representative_row().end()),
+                representative);
+      EXPECT_EQ(gi.group_rows(), group_rows);
+    }
+  }
 }
 
 TEST(VecOpsTest, AggregateByGroupThroughRowIndex) {
