@@ -1,7 +1,7 @@
 #include "fleet/runtime.h"
 
-#include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/logging.h"
 #include "telemetry/gauges.h"
@@ -19,8 +19,8 @@ FleetRuntime::FleetRuntime(FleetRuntimeOptions options,
     : options_(options),
       pool_(pool),
       router_(options.shards, options.replicas_per_shard, options.router),
-      hedge_(options.hedge),
-      counters_(options.shards) {
+      epoch_(std::chrono::steady_clock::now()),
+      ledger_(&router_, options.hedge) {
   ADS_CHECK(pool_ != nullptr) << "fleet needs a thread pool";
   runtimes_.reserve(options_.shards * options_.replicas_per_shard);
   for (size_t i = 0; i < options_.shards * options_.replicas_per_shard; ++i) {
@@ -62,9 +62,15 @@ void FleetRuntime::Start() {
   ADS_CHECK(!backends_.empty()) << "no backends registered";
   started_ = true;
   for (auto& runtime : runtimes_) runtime->Start();
-  if (hedge_.enabled() && options_.replicas_per_shard >= 2) {
+  if (ledger_.can_hedge()) {
     hedger_ = std::thread([this]() { HedgerLoop(); });
   }
+}
+
+double FleetRuntime::Now() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch_)
+      .count();
 }
 
 common::Status FleetRuntime::Submit(serve::Request request,
@@ -76,214 +82,85 @@ common::Status FleetRuntime::Submit(serve::Request request,
       << "unregistered model: " << request.model;
   // Pin the version here, before placement, so the primary and a later
   // hedge duplicate are guaranteed to serve the same model version.
-  if (request.pinned_version == 0 && version_router_ != nullptr) {
-    request.pinned_version =
-        version_router_->Route(request.model, request.tenant);
-  }
-  if (request.pinned_version == 0) {
-    request.pinned_version = backend_it->second->CurrentDeployedVersion();
-  }
+  serve::PinVersion(version_router_, *backend_it->second, &request);
   const RouteDecision decision = router_.Route(request.tenant, id);
-
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutting_down_) {
       return common::Status::FailedPrecondition(
           "fleet runtime is shutting down");
     }
-    counters_[decision.shard].submitted += 1;
-    if (decision.reason == RouteReason::kDrainDivert) {
-      counters_[decision.home_shard].drain_diverts += 1;
-    } else if (decision.reason == RouteReason::kLoadDivert) {
-      counters_[decision.home_shard].load_diverts += 1;
-    }
-    ADS_CHECK(flights_.emplace(id, Flight()).second)
-        << "duplicate request id " << id;
-    Flight& flight = flights_[id];
-    flight.prototype = request;
+    FlightLedger::Flight& flight = ledger_.Open(id, decision, Now());
     flight.user = std::move(callback);
-    flight.owner = decision.shard;
-    flight.primary_replica = decision.replica;
+    if (ledger_.can_hedge()) flight.prototype = request;
   }
-
   // The inner Submit may invoke OnCopyResponse inline (rejections), which
   // takes mu_ — so mu_ must not be held here.
-  common::Status status = replica(decision.shard, decision.replica)
-                              .Submit(std::move(request),
-                                      [this, id](const serve::Response& r) {
-                                        OnCopyResponse(id, false, r);
-                                      });
-
-  Callback failed_user;
-  {
+  const common::Status status =
+      SubmitCopy(id, decision.shard, decision.replica, std::move(request));
+  if (status.ok()) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (status.ok()) {
-      counters_[decision.shard].accepted += 1;
-      auto it = flights_.find(id);
-      // The flight can already be gone if the request raced to a served
-      // response before Submit returned; nothing left to hedge then.
-      if (it != flights_.end() && !it->second.primary_done &&
-          hedge_.enabled() && options_.replicas_per_shard >= 2) {
-        hedge_deadlines_.push(
-            {std::chrono::steady_clock::now() +
-                 std::chrono::duration_cast<
-                     std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(hedge_.Delay())),
-             id});
-        hedger_wake_.notify_one();
-      }
-    } else if (status.code() == common::StatusCode::kFailedPrecondition) {
-      // The replica refused without invoking the callback (shutdown
-      // race); resolve the flight ourselves.
-      counters_[decision.shard].rejected_capacity += 1;
-      auto it = flights_.find(id);
-      ADS_CHECK(it != flights_.end());
-      failed_user = std::move(it->second.user);
-      flights_.erase(it);
+    if (ledger_.Accept(id, decision.shard)) {
+      hedge_deadlines_.push(
+          {std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double>(ledger_.HedgeDelay())),
+           id});
+      hedger_wake_.notify_one();
     }
-    // Other rejection statuses already resolved the flight through the
-    // inline callback.
-  }
-  if (failed_user != nullptr) {
-    serve::Response response;
-    response.id = id;
-    response.outcome = serve::Outcome::kRejectedCapacity;
-    failed_user(response);
   }
   return status;
 }
 
-void FleetRuntime::OnCopyResponse(uint64_t id, bool is_hedge,
+common::Status FleetRuntime::SubmitCopy(uint64_t id, ShardId shard, size_t r,
+                                        serve::Request copy) {
+  common::Status status = replica(shard, r).Submit(
+      std::move(copy), [this, id, shard, r](const serve::Response& response) {
+        OnCopyResponse(id, shard, r, response);
+      });
+  if (status.code() == common::StatusCode::kFailedPrecondition) {
+    serve::Response refused;
+    refused.id = id;
+    refused.outcome = serve::Outcome::kRejectedCapacity;
+    OnCopyResponse(id, shard, r, refused);
+  }
+  return status;
+}
+
+void FleetRuntime::OnCopyResponse(uint64_t id, ShardId shard, size_t r,
                                   const serve::Response& response) {
+  const double now = Now();
   Callback user;
   serve::Response out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = flights_.find(id);
-    if (it == flights_.end()) return;  // resolved and finalized already
-    Flight& flight = it->second;
-    if (is_hedge) {
-      flight.hedge_done = true;
+    const FlightLedger::Step step =
+        response.outcome == serve::Outcome::kServed
+            ? ledger_.OnServed(id, shard, r, now)
+            : ledger_.OnFailed(id, shard, r, response.outcome);
+    if (!step.resolved) return;
+    user = std::move(step.flight->user);
+    if (step.flight->outcome == serve::Outcome::kServed) {
+      out = response;
+      out.latency_seconds = step.latency_seconds;
     } else {
-      flight.primary_done = true;
+      out.id = id;
+      out.outcome = step.flight->outcome;
     }
-    if (!flight.resolved) {
-      const bool served = response.outcome == serve::Outcome::kServed;
-      bool resolve_now = false;
-      if (served) {
-        // First served copy wins, whichever it is.
-        resolve_now = true;
-        out = response;
-        counters_[flight.owner].served += 1;
-        hedge_.Observe(response.latency_seconds);
-        if (flight.hedge_fired) {
-          if (is_hedge) {
-            counters_[flight.hedge_home].hedge_wins += 1;
-          } else {
-            counters_[flight.hedge_home].primary_wins += 1;
-          }
-        }
-      } else if (!is_hedge) {
-        // Primary failed. If a hedge is still out there, hold the failure:
-        // the duplicate may yet serve.
-        if (flight.hedge_fired && !flight.hedge_done) {
-          flight.have_failure = true;
-          flight.failure = response;
-        } else {
-          resolve_now = true;
-          out = response;
-        }
-      } else if (flight.primary_done) {
-        // Hedge failed after the primary already had: the logical outcome
-        // is the primary's failure.
-        ADS_CHECK(flight.have_failure)
-            << "both copies failed with no stored outcome for " << id;
-        resolve_now = true;
-        out = flight.failure;
-      }
-      // else: the hedge copy failed while the primary is still live —
-      // nothing resolves; the hedge loser just bows out early.
-      if (resolve_now) {
-        flight.resolved = true;
-        if (!served) {
-          switch (out.outcome) {
-            case serve::Outcome::kRejectedRateLimit:
-              counters_[flight.owner].rejected_rate_limit += 1;
-              break;
-            case serve::Outcome::kRejectedCapacity:
-              counters_[flight.owner].rejected_capacity += 1;
-              break;
-            case serve::Outcome::kRejectedDeadline:
-              counters_[flight.owner].rejected_deadline += 1;
-              break;
-            case serve::Outcome::kShedCapacity:
-              counters_[flight.owner].shed_capacity += 1;
-              break;
-            case serve::Outcome::kShedDeadline:
-              counters_[flight.owner].shed_deadline += 1;
-              break;
-            default:
-              ADS_CHECK(false) << "unexpected terminal outcome";
-          }
-          // Resolving with a failure after a hedge fired means both
-          // copies lost: the race had no winner.
-          if (flight.hedge_fired) {
-            counters_[flight.hedge_home].hedges_failed += 1;
-          }
-        }
-        user = std::move(flight.user);
-      }
-    }
-    FinalizeLocked(it);
   }
   if (user != nullptr) user(out);
 }
 
-void FleetRuntime::FinalizeLocked(std::map<uint64_t, Flight>::iterator it) {
-  Flight& flight = it->second;
-  if (!flight.primary_done || (flight.hedge_fired && !flight.hedge_done)) {
-    return;
-  }
-  ADS_CHECK(flight.resolved)
-      << "finalizing request " << it->first << " with no resolution";
-  if (flight.hedge_fired) {
-    counters_[flight.hedge_home].hedges_cancelled += 1;
-  }
-  flights_.erase(it);
-}
-
 void FleetRuntime::FireHedge(uint64_t id,
                              std::unique_lock<std::mutex>& lock) {
-  auto it = flights_.find(id);
-  if (it == flights_.end()) return;
-  Flight& flight = it->second;
-  if (flight.resolved || flight.primary_done || flight.hedge_fired) return;
-  if (router_.draining(flight.owner)) return;  // don't hedge into a drain
-  flight.hedge_fired = true;
-  flight.hedge_home = flight.owner;
-  const ShardId shard = flight.owner;
-  const size_t hedge_replica =
-      (flight.primary_replica + 1) % options_.replicas_per_shard;
-  counters_[flight.hedge_home].hedges_fired += 1;
-  serve::Request copy = flight.prototype;
-
+  FlightLedger::Flight* flight = ledger_.FireHedge(id);
+  if (flight == nullptr) return;
+  const ShardId shard = flight->hedge_shard;
+  const size_t r = flight->hedge_replica;
+  serve::Request copy = std::move(flight->prototype);
   lock.unlock();
-  common::Status status =
-      replica(shard, hedge_replica)
-          .Submit(std::move(copy), [this, id](const serve::Response& r) {
-            OnCopyResponse(id, true, r);
-          });
+  SubmitCopy(id, shard, r, std::move(copy));
   lock.lock();
-  if (status.code() == common::StatusCode::kFailedPrecondition) {
-    // The replica refused without a callback; the hedge is an instant
-    // loser and the flight continues on its primary alone.
-    auto again = flights_.find(id);
-    if (again != flights_.end()) {
-      again->second.hedge_done = true;
-      FinalizeLocked(again);
-    }
-  }
-  // Plain rejections already resolved through the inline hedge callback.
 }
 
 void FleetRuntime::HedgerLoop() {
@@ -317,10 +194,7 @@ void FleetRuntime::WaitShardQuiesced(ShardId shard) const {
     }
     if (quiet) {
       std::lock_guard<std::mutex> lock(mu_);
-      quiet = std::none_of(flights_.begin(), flights_.end(),
-                           [shard](const auto& entry) {
-                             return entry.second.owner == shard;
-                           });
+      quiet = !ledger_.HasOpenFlight(shard);
     }
     if (quiet) return;
     std::this_thread::sleep_for(kQuiescePollInterval);
@@ -337,37 +211,17 @@ void FleetRuntime::Shutdown() {
   if (hedger_.joinable()) hedger_.join();
   for (auto& runtime : runtimes_) runtime->Shutdown();
   std::lock_guard<std::mutex> lock(mu_);
-  ADS_CHECK(flights_.empty())
-      << "fleet shutdown left " << flights_.size() << " flights unresolved";
-  if (started_) CheckInvariantsLocked();
-}
-
-void FleetRuntime::CheckInvariantsLocked() const {
-  for (ShardId shard = 0; shard < options_.shards; ++shard) {
-    const ShardCounters& c = counters_[shard];
-    ADS_CHECK(c.submitted == c.accepted + c.Rejected())
-        << "shard " << shard << ": admission not total";
-    ADS_CHECK(c.accepted + c.rerouted_in == c.Finished() + c.rerouted_out)
-        << "shard " << shard << ": ownership ledger out of balance";
-    ADS_CHECK(c.hedges_fired ==
-              c.hedge_wins + c.primary_wins + c.hedges_failed)
-        << "shard " << shard << ": a fired hedge has no outcome";
-    ADS_CHECK(c.hedges_fired == c.hedges_cancelled)
-        << "shard " << shard << ": a fired hedge has no cancelled loser";
-  }
-  const ShardCounters fleet = Aggregate(counters_);
-  ADS_CHECK(fleet.accepted == fleet.served + fleet.Shed())
-      << "fleet ledger out of balance";
+  ledger_.CheckInvariants();
 }
 
 std::vector<ShardCounters> FleetRuntime::CountersSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  return ledger_.counters();
 }
 
 ShardCounters FleetRuntime::FleetCounters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Aggregate(counters_);
+  return ledger_.Total();
 }
 
 serve::ServingStats FleetRuntime::ReplicaStats(ShardId shard,
@@ -379,7 +233,7 @@ serve::ServingStats FleetRuntime::ReplicaStats(ShardId shard,
 
 double FleetRuntime::HedgeDelay() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return hedge_.Delay();
+  return ledger_.HedgeDelay();
 }
 
 void FleetRuntime::SampleGauges(telemetry::TelemetryStore* store) {

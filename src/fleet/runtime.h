@@ -18,6 +18,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "fleet/hedge.h"
+#include "fleet/ledger.h"
 #include "fleet/router.h"
 #include "fleet/types.h"
 #include "serve/runtime.h"
@@ -38,10 +39,11 @@ struct FleetRuntimeOptions {
 
 /// Threaded sharded serving tier: shards x replicas ServingRuntimes behind
 /// one FleetRouter, with tail-latency hedging driven by a dedicated hedger
-/// thread. The wall-clock counterpart of VirtualFleet — same routing, same
-/// first-completion-wins hedge state machine, same logical-request ledger
-/// (ShardCounters) — minus virtual time's reproducibility: use VirtualFleet
-/// for byte-stable experiments and this for running under real load.
+/// thread. The wall-clock counterpart of VirtualFleet — same routing, and
+/// the same FlightLedger (hedge race, ShardCounters, latency base) driven
+/// under this runtime's mutex on a steady clock — minus virtual time's
+/// reproducibility: use VirtualFleet for byte-stable experiments and this
+/// for running under real load.
 ///
 /// Drain model: DrainShard diverts new arrivals via the ring; work already
 /// queued on the shard completes in place (a real runtime cannot un-send
@@ -51,9 +53,10 @@ struct FleetRuntimeOptions {
 /// virtual time, where it is observable deterministically.
 ///
 /// Every logical request gets exactly one user callback, even when hedged:
-/// copy responses funnel through a per-flight state machine that picks the
-/// first served copy (or the primary's failure once every copy has failed)
-/// and discards the loser.
+/// copy responses funnel through the ledger, which picks the first served
+/// copy (or the primary's failure once every copy has failed) and discards
+/// the loser. A served response's latency_seconds runs from this Submit to
+/// the winning copy's completion.
 class FleetRuntime {
  public:
   using Callback = serve::ServingRuntime::Callback;
@@ -115,20 +118,6 @@ class FleetRuntime {
   void SampleGauges(telemetry::TelemetryStore* store);
 
  private:
-  /// Exactly-one-callback state machine for one logical request.
-  struct Flight {
-    serve::Request prototype;  // version-pinned copy for the hedge
-    Callback user;
-    ShardId owner = 0;
-    size_t primary_replica = 0;
-    ShardId hedge_home = 0;
-    bool resolved = false;
-    bool primary_done = false;
-    bool hedge_fired = false;
-    bool hedge_done = false;
-    bool have_failure = false;
-    serve::Response failure;  // primary's failure, held while hedge runs
-  };
   struct HedgeDeadline {
     std::chrono::steady_clock::time_point due;
     uint64_t id;
@@ -143,16 +132,21 @@ class FleetRuntime {
   const serve::ServingRuntime& replica(ShardId shard, size_t r) const {
     return *runtimes_[shard * options_.replicas_per_shard + r];
   }
-  /// Funnel for every copy response; resolves / finalizes the flight.
-  void OnCopyResponse(uint64_t id, bool is_hedge,
+  /// Seconds on the fleet's steady clock, the one clock flights are timed
+  /// on.
+  double Now() const;
+  /// Submits one copy of `id` to replica (shard, r). A refusal without a
+  /// callback (shutdown race) is reported as a capacity rejection.
+  common::Status SubmitCopy(uint64_t id, ShardId shard, size_t r,
+                            serve::Request copy);
+  /// Funnel for every copy response: reports it to the ledger and fires
+  /// the user callback when it resolves the request.
+  void OnCopyResponse(uint64_t id, ShardId shard, size_t r,
                       const serve::Response& response);
   void HedgerLoop();
   /// Fires one due hedge (called from the hedger with mu_ held; drops the
   /// lock around the inner Submit).
   void FireHedge(uint64_t id, std::unique_lock<std::mutex>& lock);
-  /// Requires mu_. Returns the callback to invoke (resolution) or null.
-  void FinalizeLocked(std::map<uint64_t, Flight>::iterator it);
-  void CheckInvariantsLocked() const;
 
   FleetRuntimeOptions options_;
   common::ThreadPool* pool_;
@@ -163,14 +157,14 @@ class FleetRuntime {
   std::map<std::string, std::unique_ptr<std::mutex>> backend_serialization_;
   const autonomy::VersionRouter* version_router_ = nullptr;
 
+  const std::chrono::steady_clock::time_point epoch_;
+
   mutable std::mutex mu_;
   std::condition_variable hedger_wake_;
-  HedgePolicy hedge_;
-  std::map<uint64_t, Flight> flights_;
+  FlightLedger ledger_;
   std::priority_queue<HedgeDeadline, std::vector<HedgeDeadline>,
                       std::greater<HedgeDeadline>>
       hedge_deadlines_;
-  std::vector<ShardCounters> counters_;
   bool started_ = false;
   bool shutting_down_ = false;
   std::thread hedger_;

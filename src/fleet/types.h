@@ -3,14 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace ads::fleet {
 
 /// Index of one shard within the fleet (0-based, dense).
 using ShardId = size_t;
 
-/// Fleet-level accounting for one shard, maintained by the fleet runtimes
+/// Fleet-level accounting for one shard, written only by the FlightLedger
 /// (the per-replica serve::Counters underneath keep counting every copy
 /// that passes through a core — including hedge duplicates and rerouted
 /// re-injections — so they are load views, not the ledger).
@@ -70,10 +69,6 @@ struct ShardCounters {
   uint64_t Shed() const { return shed_capacity + shed_deadline; }
   uint64_t Finished() const { return served + Shed(); }
 };
-
-/// Element-wise sum over shards. The telescoped fleet-wide invariant
-/// (accepted == served + shed) holds on the result.
-ShardCounters Aggregate(const std::vector<ShardCounters>& shards);
 
 }  // namespace ads::fleet
 

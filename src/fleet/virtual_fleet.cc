@@ -1,6 +1,7 @@
 #include "fleet/virtual_fleet.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -22,10 +23,8 @@ VirtualFleet::VirtualFleet(VirtualFleetOptions options,
     : options_(options),
       store_(store),
       router_(options.shards, options.replicas_per_shard, options.router),
-      hedge_(options.hedge),
-      counters_(options.shards),
-      drain_spans_(options.shards, telemetry::kNoSpan),
-      shard_latency_(options.shards) {
+      ledger_(&router_, options.hedge),
+      drain_spans_(options.shards, telemetry::kNoSpan) {
   ADS_CHECK(options_.workers_per_replica >= 1)
       << "need at least one virtual worker per replica";
   ADS_CHECK(options_.service.batch_overhead_seconds >= 0.0 &&
@@ -126,24 +125,15 @@ void VirtualFleet::OnArrival(serve::Request request, double now) {
   ADS_CHECK(backend_it != backends_.end())
       << "unregistered model: " << request.model;
   const uint64_t id = request.id;
-  ADS_CHECK(pending_.find(id) == pending_.end())
-      << "duplicate request id " << id;
-
   const RouteDecision decision = router_.Route(request.tenant, id);
-  counters_[decision.shard].submitted += 1;
-  if (decision.reason == RouteReason::kDrainDivert) {
-    counters_[decision.home_shard].drain_diverts += 1;
-  } else if (decision.reason == RouteReason::kLoadDivert) {
-    counters_[decision.home_shard].load_diverts += 1;
-  }
+  FlightLedger::Flight& flight = ledger_.Open(id, decision, now);
 
   // The fleet opens the causal root before admission: the routing verdict
   // is part of the request's story, and a hedge needs a parent that
   // outlives either single copy.
-  telemetry::SpanId root = telemetry::kNoSpan;
   if (tracer_ != nullptr) {
-    root = tracer_->StartSpan("request", "req-" + std::to_string(id),
-                              telemetry::kNoSpan, now);
+    const telemetry::SpanId root = tracer_->StartSpan(
+        "request", "req-" + std::to_string(id), telemetry::kNoSpan, now);
     tracer_->Annotate(root, "model", request.model);
     tracer_->Annotate(root, "tenant", request.tenant);
     if (request.priority != 0) {
@@ -155,108 +145,59 @@ void VirtualFleet::OnArrival(serve::Request request, double now) {
     tracer_->Annotate(route, "home", ShardName(decision.home_shard));
     tracer_->Annotate(route, "replica", std::to_string(decision.replica));
     tracer_->EndSpan(route, now);
+    flight.root_span = root;
     request.trace_span = root;
   }
 
   // Pin the model version once per logical request; both copies and any
   // rerouted re-injection serve under this pin.
-  if (request.pinned_version == 0 && version_router_ != nullptr) {
-    request.pinned_version =
-        version_router_->Route(request.model, request.tenant);
-  }
-  if (request.pinned_version == 0) {
-    request.pinned_version = backend_it->second->CurrentDeployedVersion();
-  }
-
-  // Keep a copy for the hedge duplicate only when a hedge can fire.
-  const bool can_hedge = hedge_.enabled() && options_.replicas_per_shard >= 2;
-  serve::Request prototype;
-  if (can_hedge) {
-    prototype = request;
-    prototype.arrival = now;
-  }
+  serve::PinVersion(version_router_, *backend_it->second, &request);
+  if (ledger_.can_hedge()) flight.prototype = request;
   Replica& target = replica(decision.shard, decision.replica);
   serve::AdmitResult admit = target.core.Admit(std::move(request), now);
   if (!admit.accepted) {
-    switch (admit.decision) {
-      case serve::Outcome::kRejectedRateLimit:
-        counters_[decision.shard].rejected_rate_limit += 1;
-        break;
-      case serve::Outcome::kRejectedCapacity:
-        counters_[decision.shard].rejected_capacity += 1;
-        break;
-      case serve::Outcome::kRejectedDeadline:
-        counters_[decision.shard].rejected_deadline += 1;
-        break;
-      default:
-        ADS_CHECK(false) << "unexpected admission decision";
-    }
-    serve::Response response;
-    response.id = id;
-    response.outcome = admit.decision;
-    Emit(response);  // core already closed the root span
-  } else {
-    counters_[decision.shard].accepted += 1;
-    Pending pending;
-    pending.prototype = std::move(prototype);
-    pending.owner = decision.shard;
-    pending.primary_replica = decision.replica;
-    pending.arrival = now;
-    pending.root_span = root;
-    pending_.emplace(id, std::move(pending));
-    if (can_hedge) {
-      queue_.ScheduleAt(now + hedge_.Delay(), [this, id](common::SimTime t) {
-        FireHedge(id, t);
-      });
-    }
+    Deliver(id,
+            ledger_.OnFailed(id, decision.shard, decision.replica,
+                             admit.decision),
+            now);
+  } else if (ledger_.Accept(id, decision.shard)) {
+    queue_.ScheduleAt(now + ledger_.HedgeDelay(),
+                      [this, id](common::SimTime t) { FireHedge(id, t); });
   }
   if (admit.evicted) {
-    OnCopyFailure(decision.shard, decision.replica, admit.victim.id,
-                  serve::Outcome::kShedCapacity, now);
+    Deliver(admit.victim.id,
+            ledger_.OnFailed(admit.victim.id, decision.shard,
+                             decision.replica, serve::Outcome::kShedCapacity),
+            now);
   }
   max_queue_depth_ = std::max(max_queue_depth_, FleetQueueDepth());
   Dispatch(decision.shard, decision.replica, now);
 }
 
 void VirtualFleet::FireHedge(uint64_t id, double now) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // already finalized: nothing to hedge
-  Pending& p = it->second;
-  if (p.resolved || p.hedge_fired || p.primary_done) return;
-  // Never hedge into a draining shard: the duplicate would immediately be
-  // rerouted away, buying latency for nothing.
-  if (router_.draining(p.owner)) return;
-
-  p.hedge_fired = true;
-  p.hedge_shard = p.owner;
-  p.hedge_replica = (p.primary_replica + 1) % options_.replicas_per_shard;
-  p.hedge_home = p.owner;
-  counters_[p.hedge_home].hedges_fired += 1;
-
-  serve::Request copy = p.prototype;
+  FlightLedger::Flight* flight = ledger_.FireHedge(id);
+  if (flight == nullptr) return;
+  const ShardId shard = flight->hedge_shard;
+  const size_t r = flight->hedge_replica;
+  serve::Request copy = std::move(flight->prototype);
   if (tracer_ != nullptr) {
-    p.hedge_span = tracer_->StartSpan("hedge", "req-" + std::to_string(id),
-                                      p.root_span, now);
-    tracer_->Annotate(p.hedge_span, "shard", ShardName(p.hedge_shard));
-    tracer_->Annotate(p.hedge_span, "replica",
-                      std::to_string(p.hedge_replica));
-    copy.trace_span = p.hedge_span;
+    flight->hedge_span = tracer_->StartSpan(
+        "hedge", "req-" + std::to_string(id), flight->root_span, now);
+    tracer_->Annotate(flight->hedge_span, "shard", ShardName(shard));
+    tracer_->Annotate(flight->hedge_span, "replica", std::to_string(r));
+    copy.trace_span = flight->hedge_span;
   }
-
-  const ShardId shard = p.hedge_shard;
-  const size_t r = p.hedge_replica;
-  Replica& target = replica(shard, r);
-  serve::AdmitResult admit = target.core.Admit(std::move(copy), now);
+  serve::AdmitResult admit = replica(shard, r).core.Admit(std::move(copy), now);
   if (!admit.accepted) {
-    // The duplicate could not even queue; the hedge resolves as an
-    // immediate loser. Fleet rejected counters are untouched — the
-    // logical request is still live on its primary.
-    p.hedge_done = true;  // core closed the hedge span with the outcome
-    MaybeFinalize(id, now);
+    // The duplicate could not even queue: it loses at once, and the
+    // request stays live on its primary (the core closed the hedge span).
+    Deliver(id, ledger_.OnFailed(id, shard, r, admit.decision), now);
   }
   if (admit.evicted) {
-    OnCopyFailure(shard, r, admit.victim.id, serve::Outcome::kShedCapacity,
-                  now);
+    Deliver(admit.victim.id,
+            ledger_.OnFailed(admit.victim.id, shard, r,
+                             serve::Outcome::kShedCapacity),
+            now);
   }
   max_queue_depth_ = std::max(max_queue_depth_, FleetQueueDepth());
   Dispatch(shard, r, now);
@@ -265,7 +206,10 @@ void VirtualFleet::FireHedge(uint64_t id, double now) {
 void VirtualFleet::Dispatch(ShardId shard, size_t r, double now) {
   Replica& rep = replica(shard, r);
   for (const serve::Request& expired : rep.core.DropExpired(now)) {
-    OnCopyFailure(shard, r, expired.id, serve::Outcome::kShedDeadline, now);
+    Deliver(expired.id,
+            ledger_.OnFailed(expired.id, shard, r,
+                             serve::Outcome::kShedDeadline),
+            now);
   }
   while (rep.busy_workers < options_.workers_per_replica &&
          rep.core.HasReadyBatch(now)) {
@@ -316,56 +260,25 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
                                       batch.trace_span, dispatched);
   }
   std::vector<size_t> all(batch_size);
-  for (size_t i = 0; i < batch_size; ++i) all[i] = i;
-  std::vector<autonomy::ResilientModelServer::ServeResult> served_rows;
-  common::Matrix features;
-  if (batch_size > 0 &&
-      serve::GatherFeatures(batch.requests, all, &features)) {
-    backend->PredictBatchVersion(batch.pinned_version, features, now,
-                                 &served_rows);
-  } else {
-    served_rows.resize(batch_size);
-    for (size_t i = 0; i < batch_size; ++i) {
-      served_rows[i] = backend->PredictVersion(
-          batch.pinned_version, batch.requests[i].features, now);
-    }
-  }
+  std::iota(all.begin(), all.end(), size_t{0});
+  const std::vector<autonomy::ResilientModelServer::ServeResult> served_rows =
+      serve::ServeBatch(backend, batch, all, now);
   for (size_t i = 0; i < batch_size; ++i) {
     const serve::Request& request = batch.requests[i];
-    auto it = pending_.find(request.id);
-    ADS_CHECK(it != pending_.end())
-        << "completion for unknown request " << request.id;
-    Pending& p = it->second;
-    const bool is_primary = p.owner == shard && p.primary_replica == r;
-    if (!is_primary) {
-      ADS_CHECK(p.hedge_fired && p.hedge_shard == shard &&
-                p.hedge_replica == r)
-          << "completion at a shard/replica owning no copy of request "
-          << request.id;
-    }
+    const FlightLedger::Step step =
+        ledger_.OnServed(request.id, shard, r, now);
+    const FlightLedger::Flight& flight = *step.flight;
     const telemetry::SpanId copy_span = request.trace_span;
-    if (!p.resolved) {
+    if (step.resolved) {
       // First completion wins: this copy's result is the response.
-      p.resolved = true;
-      counters_[p.owner].served += 1;
-      const double latency = now - p.arrival;
-      hedge_.Observe(latency);
-      latency_.Add(latency);
-      shard_latency_[p.owner].Add(latency);
-      if (p.hedge_fired) {
-        if (is_primary) {
-          counters_[p.hedge_home].primary_wins += 1;
-        } else {
-          counters_[p.hedge_home].hedge_wins += 1;
-        }
-        if (tracer_ != nullptr) {
-          // Winner/loser cross-links: the root names the winning copy,
-          // the hedge span records its own fate.
-          tracer_->Annotate(p.root_span, "winner",
-                            is_primary ? "primary" : "hedge");
-          tracer_->Annotate(p.hedge_span, "result",
-                            is_primary ? "cancelled" : "won");
-        }
+      latency_.Add(step.latency_seconds);
+      if (flight.hedge_fired && tracer_ != nullptr) {
+        // Winner/loser cross-links: the root names the winning copy, the
+        // hedge span records its own fate.
+        tracer_->Annotate(flight.root_span, "winner",
+                          step.primary ? "primary" : "hedge");
+        tracer_->Annotate(flight.hedge_span, "result",
+                          step.primary ? "cancelled" : "won");
       }
       const autonomy::ResilientModelServer::ServeResult& served =
           served_rows[i];
@@ -375,7 +288,7 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
       response.value = served.value;
       response.tier = served.tier;
       response.model_version = served.version;
-      response.latency_seconds = latency;
+      response.latency_seconds = step.latency_seconds;
       response.batch_size = batch_size;
       if (tracer_ != nullptr && copy_span != telemetry::kNoSpan) {
         telemetry::SpanId serve_span = tracer_->StartSpan(
@@ -401,13 +314,10 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
       tracer_->Annotate(serve_span, "discarded", "true");
       tracer_->EndSpan(serve_span, now);
     }
-    if (is_primary) {
-      p.primary_done = true;
-    } else {
-      p.hedge_done = true;
-      if (tracer_ != nullptr) tracer_->EndSpan(p.hedge_span, now);
+    if (!step.primary && tracer_ != nullptr) {
+      tracer_->EndSpan(flight.hedge_span, now);
     }
-    MaybeFinalize(request.id, now);
+    if (step.closed) TraceClose(flight, now);
   }
   if (backend_span != telemetry::kNoSpan) {
     tracer_->EndSpan(backend_span, now);
@@ -416,64 +326,27 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
   Dispatch(shard, r, now);
 }
 
-void VirtualFleet::OnCopyFailure(ShardId shard, size_t r, uint64_t id,
-                                 serve::Outcome outcome, double now) {
-  auto it = pending_.find(id);
-  ADS_CHECK(it != pending_.end()) << "failure for unknown request " << id;
-  Pending& p = it->second;
-  if (p.owner == shard && p.primary_replica == r && !p.primary_done) {
-    p.primary_done = true;
-    p.root_ended = true;  // the core closed the root span with the outcome
-    if (!p.resolved && !p.have_failure) {
-      p.have_failure = true;
-      p.failure = outcome;
-    }
-  } else {
-    ADS_CHECK(p.hedge_fired && p.hedge_shard == shard &&
-              p.hedge_replica == r && !p.hedge_done)
-        << "failure at a shard/replica owning no copy of request " << id;
-    p.hedge_done = true;  // the core closed the hedge span
-  }
-  MaybeFinalize(id, now);
-}
-
-void VirtualFleet::MaybeFinalize(uint64_t id, double now) {
-  auto it = pending_.find(id);
-  ADS_CHECK(it != pending_.end());
-  Pending& p = it->second;
-  if (!p.primary_done || (p.hedge_fired && !p.hedge_done)) return;
-  if (!p.resolved) {
-    // Every copy failed; the logical outcome is the primary's failure.
-    ADS_CHECK(p.have_failure) << "finalizing request " << id
-                              << " with no outcome";
-    if (p.failure == serve::Outcome::kShedCapacity) {
-      counters_[p.owner].shed_capacity += 1;
-    } else {
-      ADS_CHECK(p.failure == serve::Outcome::kShedDeadline)
-          << "unexpected copy failure outcome";
-      counters_[p.owner].shed_deadline += 1;
-    }
+void VirtualFleet::Deliver(uint64_t id, const FlightLedger::Step& step,
+                           double now) {
+  if (step.resolved) {
+    // Every copy failed: the logical outcome is the primary's failure.
     serve::Response response;
     response.id = id;
-    response.outcome = p.failure;
+    response.outcome = step.flight->outcome;
     Emit(response);
   }
-  if (p.hedge_fired) {
-    // Exactly one loser per fired hedge, whatever its fate (cancelled at
-    // completion, shed, rejected at hedge admission, or zombie-dropped).
-    counters_[p.hedge_home].hedges_cancelled += 1;
-    // A hedge race both copies lost has no winner to count.
-    if (!p.resolved) counters_[p.hedge_home].hedges_failed += 1;
-  }
-  if (tracer_ != nullptr && p.root_span != telemetry::kNoSpan) {
-    // The logical outcome may differ from the last copy-level annotation
-    // (a shed primary whose hedge won is served), so re-annotate.
-    tracer_->Annotate(
-        p.root_span, "outcome",
-        serve::OutcomeName(p.resolved ? serve::Outcome::kServed : p.failure));
-    if (!p.root_ended) tracer_->EndSpan(p.root_span, now);
-  }
-  pending_.erase(it);
+  if (step.closed) TraceClose(*step.flight, now);
+}
+
+void VirtualFleet::TraceClose(const FlightLedger::Flight& flight,
+                              double now) {
+  if (tracer_ == nullptr || flight.root_span == telemetry::kNoSpan) return;
+  // The logical outcome may differ from the last copy-level annotation (a
+  // shed primary whose hedge won is served), so re-annotate.
+  tracer_->Annotate(flight.root_span, "outcome",
+                    serve::OutcomeName(flight.outcome));
+  // A failed primary's core already closed the root span.
+  if (!flight.primary_failure) tracer_->EndSpan(flight.root_span, now);
 }
 
 void VirtualFleet::DrainShardNow(ShardId shard, double now) {
@@ -487,44 +360,23 @@ void VirtualFleet::DrainShardNow(ShardId shard, double now) {
   std::set<std::pair<ShardId, size_t>> touched;
   for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
     for (serve::Request& request : replica(shard, r).core.TakeQueued()) {
-      auto it = pending_.find(request.id);
-      ADS_CHECK(it != pending_.end())
-          << "queued copy of unknown request " << request.id;
-      Pending& p = it->second;
-      const bool is_primary = p.owner == shard && p.primary_replica == r;
-      if (!is_primary) {
-        ADS_CHECK(p.hedge_fired && p.hedge_shard == shard &&
-                  p.hedge_replica == r)
-            << "queued copy at a shard/replica owning no copy of request "
-            << request.id;
-      }
-      if (p.resolved) {
-        // A cancelled loser still queued: the drain is a natural
-        // cancellation point — drop it instead of moving dead work.
+      const FlightLedger::Step step = ledger_.OnDrained(request, shard, r);
+      const FlightLedger::Flight& flight = *step.flight;
+      if (flight.resolved) {
+        // A cancelled loser still queued: dropped instead of moving dead
+        // work.
         ++dropped;
-        if (is_primary) {
-          p.primary_done = true;
-        } else {
-          p.hedge_done = true;
-          if (tracer_ != nullptr) tracer_->EndSpan(p.hedge_span, now);
+        if (!step.primary && tracer_ != nullptr) {
+          tracer_->EndSpan(flight.hedge_span, now);
         }
-        MaybeFinalize(request.id, now);
+        Deliver(request.id, step, now);
         continue;
       }
-      const ShardId target = router_.RerouteTarget(request.tenant, shard);
+      const ShardId target = step.primary ? flight.owner : flight.hedge_shard;
       if (target == shard) {
         // Every other shard is draining too; keep the copy in place.
         replica(shard, r).core.Reinject(std::move(request));
         continue;
-      }
-      if (is_primary) {
-        // Ownership transfer: the terminal outcome will be accounted on
-        // the target shard.
-        counters_[shard].rerouted_out += 1;
-        counters_[target].rerouted_in += 1;
-        p.owner = target;
-      } else {
-        p.hedge_shard = target;
       }
       if (tracer_ != nullptr && request.trace_span != telemetry::kNoSpan) {
         telemetry::SpanId reroute = tracer_->StartSpan(
@@ -564,7 +416,7 @@ void VirtualFleet::SampleGauges(double now) {
     telemetry::ScopedGauges gauges(
         store_, "fleet.serve.",
         {{"shard", std::to_string(shard)}});
-    const ShardCounters& c = counters_[shard];
+    const ShardCounters& c = ledger_.counters()[shard];
     size_t busy = 0;
     for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
       busy += replicas_[shard * options_.replicas_per_shard + r].busy_workers;
@@ -592,25 +444,6 @@ void VirtualFleet::SampleGauges(double now) {
   }
 }
 
-void VirtualFleet::CheckInvariants() const {
-  for (ShardId shard = 0; shard < options_.shards; ++shard) {
-    const ShardCounters& c = counters_[shard];
-    ADS_CHECK(c.submitted == c.accepted + c.Rejected())
-        << "shard " << shard << ": admission not total";
-    ADS_CHECK(c.accepted + c.rerouted_in ==
-              c.Finished() + c.rerouted_out)
-        << "shard " << shard << ": ownership ledger out of balance";
-    ADS_CHECK(c.hedges_fired ==
-              c.hedge_wins + c.primary_wins + c.hedges_failed)
-        << "shard " << shard << ": a fired hedge has no outcome";
-    ADS_CHECK(c.hedges_fired == c.hedges_cancelled)
-        << "shard " << shard << ": a fired hedge has no cancelled loser";
-  }
-  const ShardCounters fleet = Aggregate(counters_);
-  ADS_CHECK(fleet.accepted == fleet.served + fleet.Shed())
-      << "fleet ledger out of balance (reroutes double-counted?)";
-}
-
 VirtualFleetReport VirtualFleet::Run() {
   ADS_CHECK(!ran_) << "Run() is one-shot";
   ran_ = true;
@@ -618,21 +451,15 @@ VirtualFleetReport VirtualFleet::Run() {
     queue_.ScheduleAt(0.0, [this](common::SimTime t) { SampleGauges(t); });
   }
   queue_.RunAll();
-  ADS_CHECK(pending_.empty())
-      << "fleet drain left " << pending_.size() << " requests unresolved";
   for (const Replica& replica : replicas_) {
     ADS_CHECK(replica.core.queued() == 0) << "fleet drain left work queued";
   }
-  CheckInvariants();
+  ledger_.CheckInvariants();
 
   VirtualFleetReport report;
-  report.shards = counters_;
-  report.fleet = Aggregate(counters_);
+  report.shards = ledger_.counters();
+  report.fleet = ledger_.Total();
   report.latency = latency_.Summary();
-  report.shard_latency.reserve(options_.shards);
-  for (const common::QuantileSketch& sketch : shard_latency_) {
-    report.shard_latency.push_back(sketch.Summary());
-  }
   report.mean_batch_size = batch_size_.mean();
   report.max_queue_depth = max_queue_depth_;
   report.horizon_seconds = queue_.now();
@@ -645,7 +472,7 @@ VirtualFleetReport VirtualFleet::Run() {
           ? static_cast<double>(report.fleet.served) /
                 static_cast<double>(report.fleet.accepted)
           : 1.0;
-  report.hedge_delay_seconds = hedge_.Delay();
+  report.hedge_delay_seconds = ledger_.HedgeDelay();
   return report;
 }
 

@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "fleet/hedge.h"
+#include "fleet/ledger.h"
 #include "fleet/router.h"
 #include "fleet/types.h"
 #include "serve/core.h"
@@ -55,7 +56,6 @@ struct VirtualFleetReport {
   /// End-to-end latency digest over served logical requests (seconds),
   /// measured original-admission → winning-copy completion.
   common::QuantileSummary latency;
-  std::vector<common::QuantileSummary> shard_latency;
   double mean_batch_size = 0.0;
   /// Max over time of fleet-wide queued requests.
   size_t max_queue_depth = 0;
@@ -76,11 +76,12 @@ struct VirtualFleetReport {
 /// deterministic service-time model, so for a fixed seed the report and
 /// span table are byte-identical across runs and ADS_THREADS values.
 ///
-/// Accounting is by logical request (see ShardCounters): a hedge launches
-/// a physical duplicate whose serve/shed never touches the served ledger;
-/// a drain reroute moves queued copies and transfers ownership. Cancelled
-/// losers are discarded at completion (virtual time cannot interrupt an
-/// in-flight batch, matching a real runtime that cannot un-send an RPC).
+/// Accounting is by logical request, in the FlightLedger FleetRuntime
+/// also drives (see ShardCounters): a hedge launches a physical duplicate
+/// whose serve/shed never touches the served ledger; a drain reroute moves
+/// queued copies and transfers ownership. Cancelled losers are discarded
+/// at completion (virtual time cannot interrupt an in-flight batch,
+/// matching a real runtime that cannot un-send an RPC).
 class VirtualFleet {
  public:
   using Callback = std::function<void(const serve::Response&)>;
@@ -117,7 +118,6 @@ class VirtualFleet {
   VirtualFleetReport Run();
 
   const FleetRouter& router() const { return router_; }
-  const HedgePolicy& hedge_policy() const { return hedge_; }
 
  private:
   /// One replica: a full admission core plus its virtual workers and its
@@ -128,29 +128,6 @@ class VirtualFleet {
     serve::ServingCore core;
     common::Rng rng;
     size_t busy_workers = 0;
-  };
-
-  /// Per-logical-request hedge/ownership state machine. Lives from
-  /// acceptance to the terminal event of the last physical copy; exactly
-  /// one Response is emitted per entry.
-  struct Pending {
-    serve::Request prototype;  // post-pin copy, duplicated on hedge fire;
-                               // empty when hedging cannot fire
-    ShardId owner = 0;         // shard owning the primary copy
-    size_t primary_replica = 0;
-    double arrival = 0.0;
-    bool resolved = false;      // terminal Response emitted
-    bool primary_done = false;  // primary copy reached a terminal event
-    bool root_ended = false;    // core closed the root span (reject paths)
-    bool hedge_fired = false;
-    bool hedge_done = false;
-    ShardId hedge_shard = 0;
-    size_t hedge_replica = 0;
-    ShardId hedge_home = 0;  // shard the hedge counters live on
-    bool have_failure = false;
-    serve::Outcome failure = serve::Outcome::kServed;
-    telemetry::SpanId root_span = telemetry::kNoSpan;
-    telemetry::SpanId hedge_span = telemetry::kNoSpan;
   };
 
   Replica& replica(ShardId shard, size_t r) {
@@ -164,17 +141,16 @@ class VirtualFleet {
   void Dispatch(ShardId shard, size_t r, double now);
   void OnBatchComplete(ShardId shard, size_t r, serve::Batch batch,
                        double dispatched, double now);
-  /// Copy-level terminal failure (eviction / deadline shed) in core
-  /// (shard, r); the core has already closed the copy's span.
-  void OnCopyFailure(ShardId shard, size_t r, uint64_t id,
-                     serve::Outcome outcome, double now);
+  /// Delivers a copy event that served nothing: the failure response when
+  /// it resolved the request, and the root span's close.
+  void Deliver(uint64_t id, const FlightLedger::Step& step, double now);
+  /// Traces a closed flight: its logical outcome on the root span.
+  void TraceClose(const FlightLedger::Flight& flight, double now);
   void DrainShardNow(ShardId shard, double now);
   void RejoinShardNow(ShardId shard, double now);
-  void MaybeFinalize(uint64_t id, double now);
   void PublishLoad(ShardId shard);
   void Emit(const serve::Response& response);
   void SampleGauges(double now);
-  void CheckInvariants() const;
 
   VirtualFleetOptions options_;
   telemetry::TelemetryStore* store_;
@@ -182,17 +158,14 @@ class VirtualFleet {
   const autonomy::VersionRouter* version_router_ = nullptr;
   common::EventQueue queue_;
   FleetRouter router_;
-  HedgePolicy hedge_;
+  FlightLedger ledger_;
   std::vector<Replica> replicas_;
   std::map<std::string, autonomy::ResilientModelServer*> backends_;
   Callback callback_;
   bool ran_ = false;
 
-  std::map<uint64_t, Pending> pending_;
-  std::vector<ShardCounters> counters_;
   std::vector<telemetry::SpanId> drain_spans_;
   common::QuantileSketch latency_;
-  std::vector<common::QuantileSketch> shard_latency_;
   common::RunningMoments batch_size_;
   size_t max_queue_depth_ = 0;
 };

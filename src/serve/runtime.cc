@@ -83,16 +83,7 @@ common::Status ServingRuntime::Submit(Request request, Callback callback) {
     auto backend_it = backends_.find(request.model);
     ADS_CHECK(backend_it != backends_.end())
         << "unregistered model: " << request.model;
-    // Pin the request to a version at admission: the router's verdict
-    // (canary slice) or else whatever is deployed right now. Batchers key
-    // on the pin, so later promotes/rollbacks cannot retarget this
-    // request or split its batch across versions.
-    if (request.pinned_version == 0 && router_ != nullptr) {
-      request.pinned_version = router_->Route(request.model, request.tenant);
-    }
-    if (request.pinned_version == 0) {
-      request.pinned_version = backend_it->second->CurrentDeployedVersion();
-    }
+    PinVersion(router_, *backend_it->second, &request);
     admit = core_.Admit(std::move(request), Now());
     if (admit.accepted && callback != nullptr) {
       callbacks_[id] = std::move(callback);
@@ -220,18 +211,8 @@ void ServingRuntime::ExecuteBatch(Batch batch) {
     for (size_t i = 0; i < batch_size; ++i) {
       if (batch.requests[i].deadline > now) live.push_back(i);
     }
-    std::vector<autonomy::ResilientModelServer::ServeResult> served;
-    common::Matrix features;
-    if (!live.empty() && GatherFeatures(batch.requests, live, &features)) {
-      backend->PredictBatchVersion(batch.pinned_version, features, now,
-                                   &served);
-    } else {
-      served.resize(live.size());
-      for (size_t k = 0; k < live.size(); ++k) {
-        served[k] = backend->PredictVersion(
-            batch.pinned_version, batch.requests[live[k]].features, now);
-      }
-    }
+    const std::vector<autonomy::ResilientModelServer::ServeResult> served =
+        ServeBatch(backend, batch, live, now);
     size_t next_live = 0;
     for (size_t i = 0; i < batch_size; ++i) {
       const Request& request = batch.requests[i];

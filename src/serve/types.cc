@@ -4,6 +4,29 @@
 
 namespace ads::serve {
 
+namespace {
+
+/// Packs the feature vectors of `requests[rows...]` into a dense row-major
+/// matrix. False (matrix untouched) if the rows disagree on feature arity.
+bool GatherFeatures(const std::vector<Request>& requests,
+                    const std::vector<size_t>& rows,
+                    common::Matrix* features) {
+  const size_t cols = requests[rows[0]].features.size();
+  for (size_t i : rows) {
+    if (requests[i].features.size() != cols) return false;
+  }
+  common::Matrix packed(rows.size(), cols);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    const std::vector<double>& row = requests[rows[k]].features;
+    double* dst = packed.RowPtr(k);
+    for (size_t j = 0; j < cols; ++j) dst[j] = row[j];
+  }
+  *features = std::move(packed);
+  return true;
+}
+
+}  // namespace
+
 const char* OutcomeName(Outcome outcome) {
   switch (outcome) {
     case Outcome::kServed:
@@ -22,27 +45,6 @@ const char* OutcomeName(Outcome outcome) {
   return "unknown";
 }
 
-bool GatherFeatures(const std::vector<Request>& requests,
-                    const std::vector<size_t>& indices,
-                    common::Matrix* features) {
-  if (indices.empty()) {
-    *features = common::Matrix(0, 0);
-    return true;
-  }
-  const size_t cols = requests[indices[0]].features.size();
-  for (size_t i : indices) {
-    if (requests[i].features.size() != cols) return false;
-  }
-  common::Matrix packed(indices.size(), cols);
-  for (size_t k = 0; k < indices.size(); ++k) {
-    const std::vector<double>& row = requests[indices[k]].features;
-    double* dst = packed.RowPtr(k);
-    for (size_t j = 0; j < cols; ++j) dst[j] = row[j];
-  }
-  *features = std::move(packed);
-  return true;
-}
-
 const char* TierName(autonomy::ResilientModelServer::Tier tier) {
   switch (tier) {
     case autonomy::ResilientModelServer::Tier::kDeployed:
@@ -53,6 +55,36 @@ const char* TierName(autonomy::ResilientModelServer::Tier tier) {
       return "heuristic";
   }
   return "unknown";
+}
+
+void PinVersion(const autonomy::VersionRouter* router,
+                const autonomy::ResilientModelServer& backend,
+                Request* request) {
+  if (request->pinned_version == 0 && router != nullptr) {
+    request->pinned_version = router->Route(request->model, request->tenant);
+  }
+  if (request->pinned_version == 0) {
+    request->pinned_version = backend.CurrentDeployedVersion();
+  }
+}
+
+std::vector<autonomy::ResilientModelServer::ServeResult> ServeBatch(
+    autonomy::ResilientModelServer* backend, const Batch& batch,
+    const std::vector<size_t>& rows, double now) {
+  std::vector<autonomy::ResilientModelServer::ServeResult> served;
+  if (rows.empty()) return served;
+  common::Matrix features;
+  if (GatherFeatures(batch.requests, rows, &features)) {
+    backend->PredictBatchVersion(batch.pinned_version, features, now,
+                                 &served);
+  } else {
+    served.resize(rows.size());
+    for (size_t k = 0; k < rows.size(); ++k) {
+      served[k] = backend->PredictVersion(
+          batch.pinned_version, batch.requests[rows[k]].features, now);
+    }
+  }
+  return served;
 }
 
 }  // namespace ads::serve

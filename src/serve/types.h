@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "autonomy/router.h"
 #include "autonomy/serving.h"
 
 namespace ads::serve {
@@ -97,13 +98,22 @@ struct Batch {
 /// "heuristic") for tables and trace attributes.
 const char* TierName(autonomy::ResilientModelServer::Tier tier);
 
-/// Packs the feature vectors of `requests[indices...]` into a dense
-/// row-major matrix for batched inference. False (matrix untouched) if the
-/// selected requests disagree on feature arity — callers then serve the
-/// batch row by row.
-bool GatherFeatures(const std::vector<Request>& requests,
-                    const std::vector<size_t>& indices,
-                    common::Matrix* features);
+/// Pins `request` to a model version at admission, once per logical
+/// request: the version router's verdict (canary tenant slice; `router`
+/// may be null) or else the version `backend` has deployed now. A request
+/// that arrives pinned keeps its pin. Batchers key on the pin, so a later
+/// promote or rollback cannot retarget the request or split its batch.
+void PinVersion(const autonomy::VersionRouter* router,
+                const autonomy::ResilientModelServer& backend,
+                Request* request);
+
+/// Serves `batch.requests[rows...]` against the batch's pinned version at
+/// `now`, one result per row in order: one PredictBatchVersion call over
+/// the packed features, or per-row PredictVersion when the rows disagree
+/// on feature arity. Both are bit-identical to per-request Predict.
+std::vector<autonomy::ResilientModelServer::ServeResult> ServeBatch(
+    autonomy::ResilientModelServer* backend, const Batch& batch,
+    const std::vector<size_t>& rows, double now);
 
 /// Monotonic request accounting, maintained by the admission core and the
 /// runtimes. Invariant after a graceful drain:

@@ -1,6 +1,7 @@
 #include "serve/virtual_server.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -54,14 +55,7 @@ void VirtualServer::OnArrival(Request request, double now) {
   ADS_CHECK(backend_it != backends_.end())
       << "unregistered model: " << request.model;
   const uint64_t id = request.id;
-  // Pin at admission: router verdict (canary slice) or the currently
-  // deployed version. See ServingRuntime::Submit for the rationale.
-  if (request.pinned_version == 0 && router_ != nullptr) {
-    request.pinned_version = router_->Route(request.model, request.tenant);
-  }
-  if (request.pinned_version == 0) {
-    request.pinned_version = backend_it->second->CurrentDeployedVersion();
-  }
+  PinVersion(router_, *backend_it->second, &request);
   AdmitResult admit = core_.Admit(std::move(request), now);
   if (!admit.accepted) {
     Response response;
@@ -124,24 +118,10 @@ void VirtualServer::OnBatchComplete(Batch batch, double dispatched,
         tracer_->StartSpan("backend", batch.model, batch.trace_span,
                            dispatched);
   }
-  // One PredictBatch call serves the whole dispatched batch through the
-  // backend's batched kernel (bit-identical to per-request Predict, so
-  // golden traces and simulated results are unchanged); ragged feature
-  // arity within a batch falls back to per-row serving.
   std::vector<size_t> all(batch_size);
-  for (size_t i = 0; i < batch_size; ++i) all[i] = i;
-  std::vector<autonomy::ResilientModelServer::ServeResult> served_rows;
-  common::Matrix features;
-  if (batch_size > 0 && GatherFeatures(batch.requests, all, &features)) {
-    backend->PredictBatchVersion(batch.pinned_version, features, now,
-                                 &served_rows);
-  } else {
-    served_rows.resize(batch_size);
-    for (size_t i = 0; i < batch_size; ++i) {
-      served_rows[i] = backend->PredictVersion(
-          batch.pinned_version, batch.requests[i].features, now);
-    }
-  }
+  std::iota(all.begin(), all.end(), size_t{0});
+  const std::vector<autonomy::ResilientModelServer::ServeResult> served_rows =
+      ServeBatch(backend, batch, all, now);
   for (size_t i = 0; i < batch_size; ++i) {
     const Request& request = batch.requests[i];
     const autonomy::ResilientModelServer::ServeResult& served =
@@ -156,7 +136,6 @@ void VirtualServer::OnBatchComplete(Batch batch, double dispatched,
     response.batch_size = batch_size;
     ++core_.mutable_counters().served;
     latency_.Add(response.latency_seconds);
-    per_model_latency_[batch.model].Add(response.latency_seconds);
     if (tracer_ != nullptr && request.trace_span != telemetry::kNoSpan) {
       // The serve child ties the request back to the batch that carried
       // it; a fallback child records a non-deployed tier answering.
@@ -214,9 +193,6 @@ VirtualReport VirtualServer::Run() {
   VirtualReport report;
   report.counters = core_.counters();
   report.latency = latency_.Summary();
-  for (const auto& [model, sketch] : per_model_latency_) {
-    report.per_model_latency[model] = sketch.Summary();
-  }
   report.mean_batch_size = batch_size_.mean();
   report.max_queue_depth = max_queue_depth_;
   report.horizon_seconds = queue_.now();

@@ -39,7 +39,6 @@ struct VirtualReport {
   Counters counters;
   /// Latency digest over served requests (seconds).
   common::QuantileSummary latency;
-  std::map<std::string, common::QuantileSummary> per_model_latency;
   double mean_batch_size = 0.0;
   size_t max_queue_depth = 0;
   /// Simulated time at which the last event (completion) ran.
@@ -118,7 +117,6 @@ class VirtualServer {
   bool ran_ = false;
 
   common::QuantileSketch latency_;
-  std::map<std::string, common::QuantileSketch> per_model_latency_;
   common::RunningMoments batch_size_;
   size_t max_queue_depth_ = 0;
 };

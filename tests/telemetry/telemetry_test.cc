@@ -3,7 +3,6 @@
 #include "telemetry/metric.h"
 #include "telemetry/semantic.h"
 #include "telemetry/store.h"
-#include "telemetry/trace.h"
 
 namespace ads::telemetry {
 namespace {
@@ -105,19 +104,6 @@ TEST(SemanticTest, MapRequiresDefinedCanonical) {
   auto unit = cat.UnitOf("custom.metric");
   ASSERT_TRUE(unit.ok());
   EXPECT_EQ(*unit, "widgets");
-}
-
-TEST(TraceLogTest, FiltersByKindAndAttribute) {
-  TraceLog log;
-  log.Append({1.0, "job_start", {{"job", "a"}}, {}});
-  log.Append({2.0, "job_end", {{"job", "a"}}, {{"runtime", 60.0}}});
-  log.Append({3.0, "job_start", {{"job", "b"}}, {}});
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.OfKind("job_start").size(), 2u);
-  auto ends = log.WithAttribute("job_end", "job", "a");
-  ASSERT_EQ(ends.size(), 1u);
-  EXPECT_DOUBLE_EQ(ends[0].metrics.at("runtime"), 60.0);
-  EXPECT_TRUE(log.WithAttribute("job_end", "job", "zzz").empty());
 }
 
 }  // namespace
