@@ -98,13 +98,15 @@ ResilientModelServer::ServeResult ResilientModelServer::PredictVersion(
 void ResilientModelServer::PredictBatch(const common::Matrix& features,
                                         double now,
                                         std::vector<ServeResult>* out) {
-  PredictBatchVersion(0, features, now, out);
+  std::vector<double> values;
+  PredictBatchVersion(0, features, now, out, &values);
 }
 
 void ResilientModelServer::PredictBatchVersion(uint32_t version,
                                                const common::Matrix& features,
                                                double now,
-                                               std::vector<ServeResult>* out) {
+                                               std::vector<ServeResult>* out,
+                                               std::vector<double>* values) {
   const size_t n = features.rows();
   out->assign(n, ServeResult());
   if (n == 0) return;
@@ -125,30 +127,29 @@ void ResilientModelServer::PredictBatchVersion(uint32_t version,
       breaker_.state() == common::CircuitBreaker::State::kClosed) {
     ml::Regressor* model = Materialize(version);
     if (model != nullptr) {
-      std::vector<double> values;
       if (n >= options_.parallel_batch_rows) {
         common::ThreadPool& pool = options_.pool != nullptr
                                        ? *options_.pool
                                        : common::ThreadPool::Global();
-        ml::PredictBatchParallel(*model, features, pool, &values);
+        ml::PredictBatchParallel(*model, features, pool, values);
       } else {
-        model->PredictBatch(features, &values);
+        model->PredictBatch(features, values);
       }
       breaker_.RecordSuccess(now);
       served_[static_cast<size_t>(Tier::kDeployed)] += n;
       for (size_t i = 0; i < n; ++i) {
-        (*out)[i].value = values[i];
+        (*out)[i].value = (*values)[i];
         (*out)[i].tier = Tier::kDeployed;
         (*out)[i].version = version;
       }
       return;
     }
   }
-  std::vector<double> row;
+  // The per-row path reuses `values` as its row buffer.
   for (size_t i = 0; i < n; ++i) {
     const double* x = features.RowPtr(i);
-    row.assign(x, x + features.cols());
-    (*out)[i] = PredictVersion(version, row, now);
+    values->assign(x, x + features.cols());
+    (*out)[i] = PredictVersion(version, *values, now);
   }
 }
 

@@ -105,8 +105,11 @@ class ResilientModelServer {
   /// bit-identical to calling PredictVersion per row in order. No row of a
   /// batch can observe a version swap that lands mid-batch — the
   /// no-mixed-version-batch guarantee the serving runtimes rely on.
+  /// `values` is the caller's scratch for the batched kernel's output;
+  /// reusing it (and `out`) across calls keeps serving allocation-free.
   void PredictBatchVersion(uint32_t version, const common::Matrix& features,
-                           double now, std::vector<ServeResult>* out);
+                           double now, std::vector<ServeResult>* out,
+                           std::vector<double>* values);
 
   /// Version currently deployed in the registry for this model — what the
   /// serving runtimes stamp on requests at admission (pinning). Thread-safe

@@ -16,12 +16,17 @@ using SimTime = double;
 /// tuples; ties on time break by insertion order so simulations are
 /// deterministic.
 ///
-/// The heap holds only small {when, seq, slot} entries; each callback sits
-/// in a slab slot until its event pops, when it is moved out (never
-/// copied) and its slot freed before it runs. A callback that captures a
-/// request or a whole batch is therefore built once and moved, and the
-/// running callback may schedule new events — reusing its own slot —
-/// without invalidating itself.
+/// Pending events live in two places, both holding small {when, seq, slot}
+/// entries: an append-only run sorted by (when, seq), which takes every
+/// event scheduled no earlier than the last one appended to it (a stream
+/// of pre-scheduled arrivals, say), and a binary heap for the rest. Each
+/// pop takes whichever front is earlier by (when, seq), so events run in
+/// exactly the order one heap would give, and popping from the run is
+/// O(1). Each callback sits in a slab slot until its event pops, when it
+/// is moved out (never copied) and its slot freed before it runs. A
+/// callback that captures a request or a whole batch is therefore built
+/// once and moved, and the running callback may schedule new events —
+/// reusing its own slot — without invalidating itself.
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime)>;
@@ -40,8 +45,8 @@ class EventQueue {
   bool Step();
 
   SimTime now() const { return now_; }
-  bool empty() const { return heap_.empty(); }
-  size_t pending() const { return heap_.size(); }
+  bool empty() const { return heap_.empty() && run_head_ == run_.size(); }
+  size_t pending() const { return heap_.size() + run_.size() - run_head_; }
 
  private:
   struct Entry {
@@ -56,10 +61,22 @@ class EventQueue {
     }
   };
 
+  /// Whether the next event to run is the run's front rather than the
+  /// heap's. Requires !empty().
+  bool RunIsNext() const;
+  const Entry& Next() const {
+    return RunIsNext() ? run_[run_head_] : heap_.front();
+  }
+
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
   /// Min-heap on (when, seq) under Later.
   std::vector<Entry> heap_;
+  /// Sorted run: live entries are run_[run_head_, end), ascending in
+  /// (when, seq). Popped entries are reclaimed once they outnumber the
+  /// live ones, so the run never holds more than twice its live entries.
+  std::vector<Entry> run_;
+  size_t run_head_ = 0;
   std::vector<Callback> slots_;
   std::vector<size_t> free_slots_;
 };

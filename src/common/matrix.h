@@ -22,6 +22,15 @@ class Matrix {
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
+  /// Reshapes to rows x cols in place, keeping the storage's capacity, so
+  /// a matrix refilled per call allocates only when it outgrows itself.
+  /// Entries are unspecified until written.
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
 

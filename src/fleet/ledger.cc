@@ -1,11 +1,25 @@
 #include "fleet/ledger.h"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace ads::fleet {
+
+namespace {
+
+/// Returns a closed flight to the state of a fresh one, keeping only its
+/// prototype's feature buffer (emptied) for the next copy to fill.
+void Renew(FlightLedger::Flight* flight) {
+  std::vector<double> features = std::move(flight->prototype.features);
+  *flight = FlightLedger::Flight();
+  features.clear();
+  flight->prototype.features = std::move(features);
+}
+
+}  // namespace
 
 FlightLedger::FlightLedger(const FleetRouter* router, HedgeOptions hedge)
     : router_(router),
@@ -13,22 +27,36 @@ FlightLedger::FlightLedger(const FleetRouter* router, HedgeOptions hedge)
       can_hedge_(hedge.enabled && router->replicas_per_shard() >= 2),
       counters_(router->shards()) {}
 
-FlightLedger::Flight& FlightLedger::Open(uint64_t id,
+FlightLedger::Flight* FlightLedger::Open(uint64_t id,
                                          const RouteDecision& decision,
                                          double now) {
+  FlightMap::iterator it;
+  if (spare_.empty()) {
+    bool inserted = false;
+    std::tie(it, inserted) = flights_.try_emplace(id);
+    if (!inserted) return nullptr;
+  } else {
+    spare_.back().key() = id;
+    auto reused = flights_.insert(std::move(spare_.back()));
+    if (!reused.inserted) {
+      spare_.back() = std::move(reused.node);
+      return nullptr;
+    }
+    spare_.pop_back();
+    it = reused.position;
+    Renew(&it->second);
+  }
   counters_[decision.shard].submitted += 1;
   if (decision.reason == RouteReason::kDrainDivert) {
     counters_[decision.home_shard].drain_diverts += 1;
   } else if (decision.reason == RouteReason::kLoadDivert) {
     counters_[decision.home_shard].load_diverts += 1;
   }
-  auto [it, inserted] = flights_.try_emplace(id);
-  ADS_CHECK(inserted) << "duplicate request id " << id;
   Flight& flight = it->second;
   flight.admitted = now;
   flight.owner = decision.shard;
   flight.primary_replica = decision.replica;
-  return flight;
+  return &flight;
 }
 
 bool FlightLedger::Accept(uint64_t id, ShardId shard) {
@@ -91,7 +119,7 @@ FlightLedger::Step FlightLedger::OnServed(uint64_t id, ShardId shard,
     flight.outcome = serve::Outcome::kServed;
     step.resolved = true;
     step.latency_seconds = now - flight.admitted;
-    hedge_.Observe(step.latency_seconds);
+    if (can_hedge_) hedge_.Observe(step.latency_seconds);
     Count(flight.owner, serve::Outcome::kServed);
     if (flight.hedge_fired) {
       ShardCounters& home = counters_[flight.hedge_home];
@@ -154,8 +182,8 @@ void FlightLedger::MaybeClose(FlightMap::iterator it, Step* step) {
   // Exactly one loser per fired hedge, whatever its fate.
   if (flight.hedge_fired) counters_[flight.hedge_home].hedges_cancelled += 1;
   step->closed = true;
-  step->node = flights_.extract(it);
-  step->flight = &step->node.mapped();
+  spare_.push_back(flights_.extract(it));
+  step->flight = &spare_.back().mapped();
 }
 
 void FlightLedger::Count(ShardId shard, serve::Outcome outcome) {

@@ -23,7 +23,8 @@ namespace ads::fleet {
 /// logical request — a primary copy and at most one hedge copy; the
 /// transport admits the copies and reports each copy event here. Rules:
 ///  - the first served copy wins; its latency is its completion minus the
-///    logical request's admission, and feeds the HedgePolicy;
+///    logical request's admission, and feeds the HedgePolicy when a hedge
+///    can fire;
 ///  - the primary's failure is held while a hedge runs;
 ///  - a hedge fires only with >= 2 replicas, onto the next replica of the
 ///    owner's group, and never into a draining shard;
@@ -31,11 +32,15 @@ namespace ads::fleet {
 ///  - a drain moves an unresolved queued copy to the tenant's first
 ///    healthy fallback (the primary's ownership with it) and drops a
 ///    resolved race's loser.
+/// A closed flight's map node is kept and reused by a later Open, so a
+/// steady stream of requests allocates no flights.
 class FlightLedger {
  public:
   struct Flight {
     /// Version-pinned source of the hedge copy; the transport fills it
-    /// only when can_hedge(), and moves it out when the hedge fires.
+    /// only when can_hedge(), and moves it out when the hedge fires. A
+    /// reused flight opens with it empty but keeps its feature buffer, so
+    /// copying a request in allocates nothing.
     serve::Request prototype;
     /// The logical request's admission: the base of its latency.
     double admitted = 0.0;
@@ -65,7 +70,8 @@ class FlightLedger {
 
   /// What one copy event did to its flight.
   struct Step {
-    /// The flight; stays valid while this Step lives, even once closed.
+    /// The flight. Once closed it stays valid until the transport's next
+    /// call into the ledger, which may reuse it.
     Flight* flight = nullptr;
     /// The event was about the primary copy (else the hedge copy).
     bool primary = true;
@@ -75,8 +81,6 @@ class FlightLedger {
     /// Every copy is done and the flight has left the ledger.
     bool closed = false;
     double latency_seconds = 0.0;
-    /// Owns the flight once closed.
-    FlightMap::node_type node;
   };
 
   /// `router` (borrowed) sizes the fleet and answers drain questions.
@@ -88,8 +92,9 @@ class FlightLedger {
   double HedgeDelay() const { return hedge_.Delay(); }
 
   /// Opens the flight of a fresh arrival that `decision` placed, admitted
-  /// at `now`, and counts the route.
-  Flight& Open(uint64_t id, const RouteDecision& decision, double now);
+  /// at `now`, and counts the route. Null, with nothing counted, when a
+  /// flight for `id` is still open.
+  Flight* Open(uint64_t id, const RouteDecision& decision, double now);
   /// Counts an accepted primary on `shard`; true when the transport should
   /// arm a hedge timer for it.
   bool Accept(uint64_t id, ShardId shard);
@@ -134,6 +139,8 @@ class FlightLedger {
   HedgePolicy hedge_;
   const bool can_hedge_;
   FlightMap flights_;
+  /// Closed flights' nodes, for Open to reuse.
+  std::vector<FlightMap::node_type> spare_;
   std::vector<ShardCounters> counters_;
 };
 

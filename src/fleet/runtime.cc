@@ -1,6 +1,7 @@
 #include "fleet/runtime.h"
 
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -78,8 +79,9 @@ common::Status FleetRuntime::Submit(serve::Request request,
   ADS_CHECK(started_) << "Submit before Start()";
   const uint64_t id = request.id;
   auto backend_it = backends_.find(request.model);
-  ADS_CHECK(backend_it != backends_.end())
-      << "unregistered model: " << request.model;
+  if (backend_it == backends_.end()) {
+    return common::Status::NotFound("unregistered model: " + request.model);
+  }
   // Pin the version here, before placement, so the primary and a later
   // hedge duplicate are guaranteed to serve the same model version.
   serve::PinVersion(version_router_, *backend_it->second, &request);
@@ -90,9 +92,14 @@ common::Status FleetRuntime::Submit(serve::Request request,
       return common::Status::FailedPrecondition(
           "fleet runtime is shutting down");
     }
-    FlightLedger::Flight& flight = ledger_.Open(id, decision, Now());
-    flight.user = std::move(callback);
-    if (ledger_.can_hedge()) flight.prototype = request;
+    FlightLedger::Flight* flight = ledger_.Open(id, decision, Now());
+    if (flight == nullptr) {
+      return common::Status::AlreadyExists("request id " +
+                                           std::to_string(id) +
+                                           " is already in flight");
+    }
+    flight->user = std::move(callback);
+    if (ledger_.can_hedge()) flight->prototype = request;
   }
   // The inner Submit may invoke OnCopyResponse inline (rejections), which
   // takes mu_ — so mu_ must not be held here.

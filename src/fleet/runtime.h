@@ -89,7 +89,9 @@ class FleetRuntime {
   /// Thread-safe. Routes by (tenant, id), stamps the version pin, and
   /// submits to the chosen replica. `callback` fires exactly once with the
   /// logical outcome; requests accepted with hedging enabled may fire a
-  /// duplicate later. Request ids must be unique across the fleet.
+  /// duplicate later. Refused before anything is counted, with no
+  /// callback: NotFound for a model with no registered backend,
+  /// AlreadyExists for the id of a request still in flight.
   common::Status Submit(serve::Request request, Callback callback);
 
   /// Diverts new arrivals away from `shard` (ring fallback order). Queued

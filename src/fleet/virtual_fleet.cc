@@ -24,7 +24,8 @@ VirtualFleet::VirtualFleet(VirtualFleetOptions options,
       store_(store),
       router_(options.shards, options.replicas_per_shard, options.router),
       ledger_(&router_, options.hedge),
-      drain_spans_(options.shards, telemetry::kNoSpan) {
+      drain_spans_(options.shards, telemetry::kNoSpan),
+      published_depth_(options.shards, 0) {
   ADS_CHECK(options_.workers_per_replica >= 1)
       << "need at least one virtual worker per replica";
   ADS_CHECK(options_.service.batch_overhead_seconds >= 0.0 &&
@@ -67,9 +68,10 @@ void VirtualFleet::SetResponseCallback(Callback callback) {
 
 void VirtualFleet::SubmitAt(double t, serve::Request request) {
   ADS_CHECK(!ran_) << "SubmitAt after Run()";
-  queue_.ScheduleAt(t, [this, r = std::move(request)](
-                           common::SimTime now) mutable {
-    OnArrival(std::move(r), now);
+  const size_t index = arrivals_.size();
+  arrivals_.push_back(std::move(request));
+  queue_.ScheduleAt(t, [this, index](common::SimTime now) {
+    OnArrival(arrivals_[index], now);
   });
 }
 
@@ -115,18 +117,24 @@ void VirtualFleet::Emit(const serve::Response& response) {
 }
 
 void VirtualFleet::PublishLoad(ShardId shard) {
+  // Republishing an unchanged depth would only take the router's lock.
+  const size_t depth = ShardQueueDepth(shard);
+  if (depth == published_depth_[shard]) return;
+  published_depth_[shard] = depth;
   ShardLoad load;
-  load.queue_depth = ShardQueueDepth(shard);
+  load.queue_depth = depth;
   router_.UpdateLoad(shard, load);
 }
 
-void VirtualFleet::OnArrival(serve::Request request, double now) {
+void VirtualFleet::OnArrival(serve::Request& request, double now) {
   auto backend_it = backends_.find(request.model);
   ADS_CHECK(backend_it != backends_.end())
       << "unregistered model: " << request.model;
   const uint64_t id = request.id;
   const RouteDecision decision = router_.Route(request.tenant, id);
-  FlightLedger::Flight& flight = ledger_.Open(id, decision, now);
+  FlightLedger::Flight* opened = ledger_.Open(id, decision, now);
+  ADS_CHECK(opened != nullptr) << "duplicate request id " << id;
+  FlightLedger::Flight& flight = *opened;
 
   // The fleet opens the causal root before admission: the routing verdict
   // is part of the request's story, and a hedge needs a parent that
@@ -205,7 +213,9 @@ void VirtualFleet::FireHedge(uint64_t id, double now) {
 
 void VirtualFleet::Dispatch(ShardId shard, size_t r, double now) {
   Replica& rep = replica(shard, r);
-  for (const serve::Request& expired : rep.core.DropExpired(now)) {
+  // Deliver never re-enters Dispatch, so expired_ holds still meanwhile.
+  rep.core.DropExpired(now, &expired_);
+  for (const serve::Request& expired : expired_) {
     Deliver(expired.id,
             ledger_.OnFailed(expired.id, shard, r,
                              serve::Outcome::kShedDeadline),
@@ -213,8 +223,23 @@ void VirtualFleet::Dispatch(ShardId shard, size_t r, double now) {
   }
   while (rep.busy_workers < options_.workers_per_replica &&
          rep.core.HasReadyBatch(now)) {
-    serve::Batch batch = rep.core.TakeReadyBatch(now);
-    if (batch.requests.empty()) break;
+    size_t slot = in_flight_.size();
+    if (free_in_flight_.empty()) {
+      in_flight_.emplace_back();
+    } else {
+      slot = free_in_flight_.back();
+      free_in_flight_.pop_back();
+    }
+    InFlight& in_flight = in_flight_[slot];
+    serve::Batch& batch = in_flight.batch;
+    rep.core.TakeReadyBatch(now, &batch);
+    if (batch.requests.empty()) {
+      free_in_flight_.push_back(slot);
+      break;
+    }
+    in_flight.shard = shard;
+    in_flight.replica = r;
+    in_flight.dispatched = now;
     ++rep.busy_workers;
     double service = options_.service.batch_overhead_seconds +
                      options_.service.per_item_seconds *
@@ -230,25 +255,29 @@ void VirtualFleet::Dispatch(ShardId shard, size_t r, double now) {
       tracer_->Annotate(batch.trace_span, "replica", std::to_string(r));
       if (slow) tracer_->Annotate(batch.trace_span, "slow", "true");
     }
-    queue_.ScheduleAt(now + service, [this, shard, r, b = std::move(batch),
-                                      now](common::SimTime t) mutable {
-      OnBatchComplete(shard, r, std::move(b), now, t);
+    queue_.ScheduleAt(now + service, [this, slot](common::SimTime t) {
+      OnBatchComplete(slot, t);
     });
   }
   if (rep.core.queued() > 0) {
     double next = rep.core.NextLingerDeadline();
     if (next > now && next < std::numeric_limits<double>::infinity()) {
-      queue_.ScheduleAt(next, [this, shard, r](common::SimTime t) {
-        Dispatch(shard, r, t);
+      const size_t index = shard * options_.replicas_per_shard + r;
+      queue_.ScheduleAt(next, [this, index](common::SimTime t) {
+        Dispatch(index / options_.replicas_per_shard,
+                 index % options_.replicas_per_shard, t);
       });
     }
   }
   PublishLoad(shard);
 }
 
-void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
-                                   serve::Batch batch, double dispatched,
-                                   double now) {
+void VirtualFleet::OnBatchComplete(size_t slot, double now) {
+  InFlight& done = in_flight_[slot];
+  const ShardId shard = done.shard;
+  const size_t r = done.replica;
+  const double dispatched = done.dispatched;
+  serve::Batch& batch = done.batch;
   Replica& rep = replica(shard, r);
   --rep.busy_workers;
   autonomy::ResilientModelServer* backend = backends_.at(batch.model);
@@ -259,10 +288,9 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
     backend_span = tracer_->StartSpan("backend", batch.model,
                                       batch.trace_span, dispatched);
   }
-  std::vector<size_t> all(batch_size);
-  std::iota(all.begin(), all.end(), size_t{0});
-  const std::vector<autonomy::ResilientModelServer::ServeResult> served_rows =
-      serve::ServeBatch(backend, batch, all, now);
+  rows_.resize(batch_size);
+  std::iota(rows_.begin(), rows_.end(), size_t{0});
+  serve::ServeBatch(backend, batch, rows_, now, &serve_scratch_, &served_);
   for (size_t i = 0; i < batch_size; ++i) {
     const serve::Request& request = batch.requests[i];
     const FlightLedger::Step step =
@@ -280,8 +308,7 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
         tracer_->Annotate(flight.hedge_span, "result",
                           step.primary ? "cancelled" : "won");
       }
-      const autonomy::ResilientModelServer::ServeResult& served =
-          served_rows[i];
+      const autonomy::ResilientModelServer::ServeResult& served = served_[i];
       serve::Response response;
       response.id = request.id;
       response.outcome = serve::Outcome::kServed;
@@ -323,6 +350,10 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
     tracer_->EndSpan(backend_span, now);
     tracer_->EndSpan(batch.trace_span, now);
   }
+  // Free the slot before dispatching, which may reuse it or grow
+  // in_flight_ (moving `done`).
+  batch.requests.clear();
+  free_in_flight_.push_back(slot);
   Dispatch(shard, r, now);
 }
 
@@ -472,7 +503,6 @@ VirtualFleetReport VirtualFleet::Run() {
           ? static_cast<double>(report.fleet.served) /
                 static_cast<double>(report.fleet.accepted)
           : 1.0;
-  report.hedge_delay_seconds = ledger_.HedgeDelay();
   return report;
 }
 

@@ -64,8 +64,6 @@ struct VirtualFleetReport {
   /// served / accepted over the whole fleet (1.0 when nothing accepted):
   /// the zero-downtime claim of a rolling drain is availability == 1.0.
   double availability = 0.0;
-  /// Hedge delay in force when the run ended (quantile-derived).
-  double hedge_delay_seconds = 0.0;
 };
 
 /// Virtual-time twin of the sharded serving fleet: N shards of M replica
@@ -82,6 +80,13 @@ struct VirtualFleetReport {
 /// queued copies and transfers ownership. Cancelled losers are discarded
 /// at completion (virtual time cannot interrupt an in-flight batch,
 /// matching a real runtime that cannot un-send an RPC).
+///
+/// Run() allocates nothing per request once warm: every event captures
+/// only (this, index) — an arrival's index into the submitted requests, a
+/// batch's in-flight slot, a replica for its linger timer, a request id
+/// for its hedge timer — which fits std::function's inline buffer; the
+/// slots, the batchers' queues, the ledger's flights and the serving
+/// scratch are all reused.
 class VirtualFleet {
  public:
   using Callback = std::function<void(const serve::Response&)>;
@@ -130,17 +135,27 @@ class VirtualFleet {
     size_t busy_workers = 0;
   };
 
+  /// A dispatched batch in service. Its completion event names the slot;
+  /// the slot, and the batch's request storage, are reused once it
+  /// completes.
+  struct InFlight {
+    ShardId shard = 0;
+    size_t replica = 0;
+    double dispatched = 0.0;
+    serve::Batch batch;
+  };
+
   Replica& replica(ShardId shard, size_t r) {
     return replicas_[shard * options_.replicas_per_shard + r];
   }
   size_t ShardQueueDepth(ShardId shard) const;
   size_t FleetQueueDepth() const;
 
-  void OnArrival(serve::Request request, double now);
+  /// Admits `request` (moved from) as a fresh logical request.
+  void OnArrival(serve::Request& request, double now);
   void FireHedge(uint64_t id, double now);
   void Dispatch(ShardId shard, size_t r, double now);
-  void OnBatchComplete(ShardId shard, size_t r, serve::Batch batch,
-                       double dispatched, double now);
+  void OnBatchComplete(size_t slot, double now);
   /// Delivers a copy event that served nothing: the failure response when
   /// it resolved the request, and the root span's close.
   void Deliver(uint64_t id, const FlightLedger::Step& step, double now);
@@ -164,7 +179,19 @@ class VirtualFleet {
   Callback callback_;
   bool ran_ = false;
 
+  /// SubmitAt's requests, by arrival; each arrival event moves its own out.
+  std::vector<serve::Request> arrivals_;
+  std::vector<InFlight> in_flight_;
+  std::vector<size_t> free_in_flight_;
+  /// Event-loop scratch, reused by every event.
+  std::vector<serve::Request> expired_;
+  std::vector<size_t> rows_;
+  serve::ServeScratch serve_scratch_;
+  std::vector<autonomy::ResilientModelServer::ServeResult> served_;
+
   std::vector<telemetry::SpanId> drain_spans_;
+  /// Each shard's queue depth as the router last heard it.
+  std::vector<size_t> published_depth_;
   common::QuantileSketch latency_;
   common::RunningMoments batch_size_;
   size_t max_queue_depth_ = 0;

@@ -13,40 +13,63 @@ MicroBatcher::MicroBatcher(BatcherOptions options) : options_(options) {
 }
 
 void MicroBatcher::Add(Request request) {
-  pending_.push_back(std::move(request));
+  min_deadline_ = std::min(min_deadline_, request.deadline);
+  queue_.push_back(std::move(request));
 }
 
 bool MicroBatcher::Ready(double now) const {
-  if (pending_.empty()) return false;
-  if (pending_.size() >= options_.max_batch_size) return true;
-  return now >= pending_.front().arrival + options_.max_linger_seconds;
+  if (pending() == 0) return false;
+  if (pending() >= options_.max_batch_size) return true;
+  return now >= queue_[head_].arrival + options_.max_linger_seconds;
 }
 
 double MicroBatcher::NextDeadline() const {
-  if (pending_.empty()) return std::numeric_limits<double>::infinity();
-  return pending_.front().arrival + options_.max_linger_seconds;
+  if (pending() == 0) return std::numeric_limits<double>::infinity();
+  return queue_[head_].arrival + options_.max_linger_seconds;
 }
 
-std::vector<Request> MicroBatcher::TakeBatch() {
-  std::vector<Request> batch;
-  size_t n = std::min(pending_.size(), options_.max_batch_size);
-  batch.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    batch.push_back(std::move(pending_.front()));
-    pending_.pop_front();
+void MicroBatcher::Reclaim() {
+  if (head_ == queue_.size()) {
+    queue_.clear();
+    head_ = 0;
+    min_deadline_ = std::numeric_limits<double>::infinity();
+  } else if (head_ > pending()) {
+    // Fewer requests move than were taken since the last reclaim.
+    queue_.erase(queue_.begin(),
+                 queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
   }
-  return batch;
+}
+
+void MicroBatcher::TakeBatch(std::vector<Request>* batch) {
+  batch->clear();
+  const size_t n = std::min(pending(), options_.max_batch_size);
+  batch->reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    batch->push_back(std::move(queue_[head_ + i]));
+  }
+  head_ += n;
+  Reclaim();
 }
 
 void MicroBatcher::DropExpired(double now, std::vector<Request>* expired) {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (it->deadline <= now) {
-      expired->push_back(std::move(*it));
-      it = pending_.erase(it);
-    } else {
-      ++it;
+  if (now < min_deadline_) return;
+  double min_deadline = std::numeric_limits<double>::infinity();
+  size_t kept = head_;
+  for (size_t i = head_; i < queue_.size(); ++i) {
+    Request& request = queue_[i];
+    if (request.deadline <= now) {
+      expired->push_back(std::move(request));
+      continue;
     }
+    min_deadline = std::min(min_deadline, request.deadline);
+    if (kept != i) queue_[kept] = std::move(request);
+    ++kept;
   }
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
+               queue_.end());
+  min_deadline_ = min_deadline;
+  Reclaim();
 }
 
 bool MicroBatcher::WorseThan(const Request& a, const Request& b) {
@@ -58,20 +81,21 @@ bool MicroBatcher::WorseThan(const Request& a, const Request& b) {
 
 const Request* MicroBatcher::PeekWorst() const {
   const Request* worst = nullptr;
-  for (const Request& r : pending_) {
-    if (worst == nullptr || WorseThan(r, *worst)) worst = &r;
+  for (size_t i = head_; i < queue_.size(); ++i) {
+    if (worst == nullptr || WorseThan(queue_[i], *worst)) worst = &queue_[i];
   }
   return worst;
 }
 
 Request MicroBatcher::EvictWorst() {
-  ADS_CHECK(!pending_.empty()) << "EvictWorst on an empty batcher";
-  auto worst = pending_.begin();
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+  ADS_CHECK(pending() > 0) << "EvictWorst on an empty batcher";
+  auto worst = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
+  for (auto it = worst; it != queue_.end(); ++it) {
     if (WorseThan(*it, *worst)) worst = it;
   }
   Request victim = std::move(*worst);
-  pending_.erase(worst);
+  queue_.erase(worst);
+  Reclaim();
   return victim;
 }
 

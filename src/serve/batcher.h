@@ -2,7 +2,6 @@
 #define ADS_SERVE_BATCHER_H_
 
 #include <cstddef>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -25,7 +24,9 @@ struct BatcherOptions {
 /// a bounded latency cost).
 ///
 /// FIFO within a model. Not internally synchronized — the owning runtime
-/// serializes access. Time is caller-provided seconds.
+/// serializes access. Time is caller-provided seconds. Steady-state use
+/// allocates nothing: the queue reuses its storage, and TakeBatch fills a
+/// caller-owned vector.
 class MicroBatcher {
  public:
   explicit MicroBatcher(BatcherOptions options = BatcherOptions());
@@ -40,11 +41,13 @@ class MicroBatcher {
   /// empty) — the event-loop / dispatcher wake-up deadline.
   double NextDeadline() const;
 
-  /// Pops up to max_batch_size requests in FIFO order. Empty result when
-  /// nothing is pending.
-  std::vector<Request> TakeBatch();
+  /// Replaces *batch with up to max_batch_size requests popped in FIFO
+  /// order (empty when nothing is pending), reusing its capacity.
+  void TakeBatch(std::vector<Request>* batch);
 
-  /// Moves every pending request whose deadline has passed into *expired.
+  /// Appends every pending request whose deadline has passed to *expired,
+  /// in FIFO order. Scans the queue only once `now` reaches the earliest
+  /// pending deadline.
   void DropExpired(double now, std::vector<Request>* expired);
 
   /// Pointer to the worst-ranked pending request — lowest priority, then
@@ -55,14 +58,26 @@ class MicroBatcher {
   /// Removes and returns the PeekWorst() request. Requires pending() > 0.
   Request EvictWorst();
 
-  size_t pending() const { return pending_.size(); }
+  size_t pending() const { return queue_.size() - head_; }
 
   /// True if `a` ranks strictly worse than `b` for shedding purposes.
   static bool WorseThan(const Request& a, const Request& b);
 
  private:
+  /// Drops the moved-from slots before head_ once they outnumber the
+  /// pending requests (all of them when nothing is pending).
+  void Reclaim();
+
   BatcherOptions options_;
-  std::deque<Request> pending_;
+  /// Pending requests, FIFO, are queue_[head_, end). TakeBatch moves them
+  /// out by advancing head_; the emptied slots are reclaimed once they
+  /// outnumber the pending ones, and the capacity stays for reuse.
+  std::vector<Request> queue_;
+  size_t head_ = 0;
+  /// A lower bound on every pending deadline (+inf when none). Adding a
+  /// request lowers it; removing one leaves it a valid bound; a full scan
+  /// recomputes it exactly. While now < min_deadline_ nothing can expire.
+  double min_deadline_ = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace ads::serve

@@ -157,42 +157,45 @@ void ServingCore::TraceBatch(Batch* batch, double now) {
   tracer_->Annotate(batch->trace_span, "requests", members);
 }
 
-Batch ServingCore::TakeReadyBatch(double now) {
-  Batch batch;
+void ServingCore::TakeReadyBatch(double now, Batch* batch) {
+  batch->model.clear();
+  batch->requests.clear();
+  batch->pinned_version = 0;
+  batch->trace_span = telemetry::kNoSpan;
+  batch->seq = 0;
   for (auto& [key, batcher] : batchers_) {
     if (!batcher.Ready(now)) continue;
-    batch.model = key.first;
-    batch.pinned_version = key.second;
-    batch.requests = batcher.TakeBatch();
-    queued_ -= batch.requests.size();
-    TraceBatch(&batch, now);
-    return batch;
+    batch->model = key.first;
+    batch->pinned_version = key.second;
+    batcher.TakeBatch(&batch->requests);
+    queued_ -= batch->requests.size();
+    TraceBatch(batch, now);
+    return;
   }
-  return batch;
 }
 
-std::vector<Request> ServingCore::DropExpired(double now) {
-  std::vector<Request> expired;
+void ServingCore::DropExpired(double now, std::vector<Request>* expired) {
+  expired->clear();
   for (auto& [key, batcher] : batchers_) {
-    batcher.DropExpired(now, &expired);
+    batcher.DropExpired(now, expired);
   }
-  queued_ -= expired.size();
-  counters_.shed_deadline += expired.size();
+  queued_ -= expired->size();
+  counters_.shed_deadline += expired->size();
   if (tracer_ != nullptr) {
-    for (const Request& request : expired) {
+    for (const Request& request : *expired) {
       tracer_->Annotate(request.trace_span, "outcome",
                         OutcomeName(Outcome::kShedDeadline));
       tracer_->EndSpan(request.trace_span, now);
     }
   }
-  return expired;
 }
 
 std::vector<Request> ServingCore::TakeQueued() {
   std::vector<Request> all;
+  std::vector<Request> chunk;
   for (auto& [key, batcher] : batchers_) {
     while (batcher.pending() > 0) {
-      std::vector<Request> chunk = batcher.TakeBatch();
+      batcher.TakeBatch(&chunk);
       queued_ -= chunk.size();
       for (Request& request : chunk) all.push_back(std::move(request));
     }
@@ -212,7 +215,7 @@ std::vector<Batch> ServingCore::Drain(double now) {
       Batch batch;
       batch.model = key.first;
       batch.pinned_version = key.second;
-      batch.requests = batcher.TakeBatch();
+      batcher.TakeBatch(&batch.requests);
       queued_ -= batch.requests.size();
       TraceBatch(&batch, now);
       batches.push_back(std::move(batch));

@@ -75,13 +75,15 @@ class ServingCore {
 
   bool HasReadyBatch(double now) const;
 
-  /// Takes the next dispatchable batch at `now` (models in name order for
-  /// determinism). Empty batch when none is ready.
-  Batch TakeReadyBatch(double now);
+  /// Replaces *batch with the next dispatchable batch at `now` (models in
+  /// name order for determinism), reusing its storage; batch->requests is
+  /// empty when none is ready.
+  void TakeReadyBatch(double now, Batch* batch);
 
-  /// Removes every queued request whose deadline has passed; the caller
-  /// emits kShedDeadline responses (counters are updated here).
-  std::vector<Request> DropExpired(double now);
+  /// Replaces *expired with every queued request whose deadline has
+  /// passed; the caller emits kShedDeadline responses (counters are
+  /// updated here).
+  void DropExpired(double now, std::vector<Request>* expired);
 
   /// Drains everything still queued as batches, ignoring linger windows —
   /// the graceful-shutdown path. Expired requests are NOT included; call

@@ -1,5 +1,6 @@
 #include "serve/runtime.h"
 
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -81,12 +82,21 @@ common::Status ServingRuntime::Submit(Request request, Callback callback) {
           "serving runtime is not accepting requests");
     }
     auto backend_it = backends_.find(request.model);
-    ADS_CHECK(backend_it != backends_.end())
-        << "unregistered model: " << request.model;
+    if (backend_it == backends_.end()) {
+      return common::Status::NotFound("unregistered model: " + request.model);
+    }
+    // A second request under a pending id would take over its callback
+    // slot, and the first caller would never hear back.
+    const auto slot = callbacks_.lower_bound(id);
+    if (slot != callbacks_.end() && slot->first == id) {
+      return common::Status::AlreadyExists("request id " +
+                                           std::to_string(id) +
+                                           " is still in flight");
+    }
     PinVersion(router_, *backend_it->second, &request);
     admit = core_.Admit(std::move(request), Now());
     if (admit.accepted && callback != nullptr) {
-      callbacks_[id] = std::move(callback);
+      callbacks_.emplace_hint(slot, id, std::move(callback));
     }
   }
   if (!admit.accepted) {
@@ -140,14 +150,16 @@ void ServingRuntime::DispatcherLoop() {
       continue;  // re-evaluate readiness / shutdown with fresh time
     }
     // Shed anything whose deadline passed while it queued.
-    std::vector<Request> expired = core_.DropExpired(Now());
+    std::vector<Request> expired;
+    core_.DropExpired(Now(), &expired);
     if (!expired.empty()) {
       lock.unlock();
       EmitShed(expired, Outcome::kShedDeadline);
       lock.lock();
     }
     while (core_.HasReadyBatch(Now())) {
-      Batch batch = core_.TakeReadyBatch(Now());
+      Batch batch;
+      core_.TakeReadyBatch(Now(), &batch);
       if (batch.requests.empty()) break;
       ++inflight_batches_;
       lock.unlock();
@@ -157,7 +169,8 @@ void ServingRuntime::DispatcherLoop() {
     }
     if (shutting_down_) {
       // Graceful drain: flush every remaining request, ignoring linger.
-      std::vector<Request> late = core_.DropExpired(Now());
+      std::vector<Request> late;
+      core_.DropExpired(Now(), &late);
       if (!late.empty()) {
         lock.unlock();
         EmitShed(late, Outcome::kShedDeadline);
@@ -211,8 +224,11 @@ void ServingRuntime::ExecuteBatch(Batch batch) {
     for (size_t i = 0; i < batch_size; ++i) {
       if (batch.requests[i].deadline > now) live.push_back(i);
     }
-    const std::vector<autonomy::ResilientModelServer::ServeResult> served =
-        ServeBatch(backend, batch, live, now);
+    // Batches run concurrently on pool workers, so each has its own
+    // scratch.
+    ServeScratch scratch;
+    std::vector<autonomy::ResilientModelServer::ServeResult> served;
+    ServeBatch(backend, batch, live, now, &scratch, &served);
     size_t next_live = 0;
     for (size_t i = 0; i < batch_size; ++i) {
       const Request& request = batch.requests[i];

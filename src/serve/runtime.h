@@ -107,7 +107,10 @@ class ServingRuntime {
   /// the request; `callback` fires exactly once (from the caller's thread
   /// for rejections, from a pool worker otherwise). Returns Ok when the
   /// request was accepted, ResourceExhausted / DeadlineExceeded-style
-  /// errors when rejected, FailedPrecondition after Shutdown.
+  /// errors when rejected, FailedPrecondition after Shutdown. Refused
+  /// before anything is counted, with no callback: NotFound for a model
+  /// with no registered backend, AlreadyExists for an id whose callback is
+  /// still pending.
   common::Status Submit(Request request, Callback callback);
 
   /// Stops admission, drains every queued request (served, or shed if its

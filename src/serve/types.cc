@@ -7,7 +7,8 @@ namespace ads::serve {
 namespace {
 
 /// Packs the feature vectors of `requests[rows...]` into a dense row-major
-/// matrix. False (matrix untouched) if the rows disagree on feature arity.
+/// matrix, reusing its storage. False (matrix untouched) if the rows
+/// disagree on feature arity.
 bool GatherFeatures(const std::vector<Request>& requests,
                     const std::vector<size_t>& rows,
                     common::Matrix* features) {
@@ -15,13 +16,12 @@ bool GatherFeatures(const std::vector<Request>& requests,
   for (size_t i : rows) {
     if (requests[i].features.size() != cols) return false;
   }
-  common::Matrix packed(rows.size(), cols);
+  features->Resize(rows.size(), cols);
   for (size_t k = 0; k < rows.size(); ++k) {
     const std::vector<double>& row = requests[rows[k]].features;
-    double* dst = packed.RowPtr(k);
+    double* dst = features->RowPtr(k);
     for (size_t j = 0; j < cols; ++j) dst[j] = row[j];
   }
-  *features = std::move(packed);
   return true;
 }
 
@@ -68,23 +68,22 @@ void PinVersion(const autonomy::VersionRouter* router,
   }
 }
 
-std::vector<autonomy::ResilientModelServer::ServeResult> ServeBatch(
+void ServeBatch(
     autonomy::ResilientModelServer* backend, const Batch& batch,
-    const std::vector<size_t>& rows, double now) {
-  std::vector<autonomy::ResilientModelServer::ServeResult> served;
-  if (rows.empty()) return served;
-  common::Matrix features;
-  if (GatherFeatures(batch.requests, rows, &features)) {
-    backend->PredictBatchVersion(batch.pinned_version, features, now,
-                                 &served);
+    const std::vector<size_t>& rows, double now, ServeScratch* scratch,
+    std::vector<autonomy::ResilientModelServer::ServeResult>* served) {
+  served->clear();
+  if (rows.empty()) return;
+  if (GatherFeatures(batch.requests, rows, &scratch->features)) {
+    backend->PredictBatchVersion(batch.pinned_version, scratch->features,
+                                 now, served, &scratch->values);
   } else {
-    served.resize(rows.size());
+    served->resize(rows.size());
     for (size_t k = 0; k < rows.size(); ++k) {
-      served[k] = backend->PredictVersion(
+      (*served)[k] = backend->PredictVersion(
           batch.pinned_version, batch.requests[rows[k]].features, now);
     }
   }
-  return served;
 }
 
 }  // namespace ads::serve

@@ -9,6 +9,7 @@
 
 #include "autonomy/router.h"
 #include "autonomy/serving.h"
+#include "common/matrix.h"
 
 namespace ads::serve {
 
@@ -107,13 +108,24 @@ void PinVersion(const autonomy::VersionRouter* router,
                 const autonomy::ResilientModelServer& backend,
                 Request* request);
 
+/// Storage ServeBatch reuses from call to call, so a steady stream of
+/// batches allocates nothing. Owned by one caller and never shared across
+/// threads: a threaded runtime serving batches on pool workers keeps one
+/// per batch, an event loop one for its whole run.
+struct ServeScratch {
+  common::Matrix features;
+  std::vector<double> values;
+};
+
 /// Serves `batch.requests[rows...]` against the batch's pinned version at
-/// `now`, one result per row in order: one PredictBatchVersion call over
-/// the packed features, or per-row PredictVersion when the rows disagree
-/// on feature arity. Both are bit-identical to per-request Predict.
-std::vector<autonomy::ResilientModelServer::ServeResult> ServeBatch(
+/// `now` into *served, one result per row in order: one
+/// PredictBatchVersion call over the packed features, or per-row
+/// PredictVersion when the rows disagree on feature arity. Both are
+/// bit-identical to per-request Predict.
+void ServeBatch(
     autonomy::ResilientModelServer* backend, const Batch& batch,
-    const std::vector<size_t>& rows, double now);
+    const std::vector<size_t>& rows, double now, ServeScratch* scratch,
+    std::vector<autonomy::ResilientModelServer::ServeResult>* served);
 
 /// Monotonic request accounting, maintained by the admission core and the
 /// runtimes. Invariant after a graceful drain:

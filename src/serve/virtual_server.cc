@@ -74,14 +74,17 @@ void VirtualServer::OnArrival(Request request, double now) {
 }
 
 void VirtualServer::Dispatch(double now) {
-  for (const Request& expired : core_.DropExpired(now)) {
+  std::vector<Request> expired;
+  core_.DropExpired(now, &expired);
+  for (const Request& request : expired) {
     Response response;
-    response.id = expired.id;
+    response.id = request.id;
     response.outcome = Outcome::kShedDeadline;
     Emit(response);
   }
   while (busy_workers_ < options_.workers && core_.HasReadyBatch(now)) {
-    Batch batch = core_.TakeReadyBatch(now);
+    Batch batch;
+    core_.TakeReadyBatch(now, &batch);
     if (batch.requests.empty()) break;
     ++busy_workers_;
     double service =
@@ -120,8 +123,9 @@ void VirtualServer::OnBatchComplete(Batch batch, double dispatched,
   }
   std::vector<size_t> all(batch_size);
   std::iota(all.begin(), all.end(), size_t{0});
-  const std::vector<autonomy::ResilientModelServer::ServeResult> served_rows =
-      ServeBatch(backend, batch, all, now);
+  ServeScratch scratch;
+  std::vector<autonomy::ResilientModelServer::ServeResult> served_rows;
+  ServeBatch(backend, batch, all, now, &scratch, &served_rows);
   for (size_t i = 0; i < batch_size; ++i) {
     const Request& request = batch.requests[i];
     const autonomy::ResilientModelServer::ServeResult& served =

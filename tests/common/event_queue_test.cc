@@ -130,6 +130,73 @@ TEST(EventQueueTest, SeededScheduleWithTiesPopsInTimeThenInsertionOrder) {
   EXPECT_GT(next_seq, 1000u);
 }
 
+TEST(EventQueueTest, PrescheduledStreamInterleavesWithLaterEventsInOrder) {
+  // A long non-decreasing stream with equal-time runs is scheduled up
+  // front; its events then schedule others earlier than, equal to and
+  // later than the stream's times, so ties fall between pre-scheduled and
+  // later events. Keys are (when, the order of ScheduleAt calls).
+  EventQueue q;
+  std::mt19937_64 rng(20261019);
+  uint64_t next_seq = 0;
+  std::vector<std::pair<SimTime, uint64_t>> scheduled;
+  std::vector<std::pair<SimTime, uint64_t>> ran;
+  auto expect_counts = [&]() {
+    const size_t live = scheduled.size() - ran.size();
+    EXPECT_EQ(q.pending(), live);
+    EXPECT_EQ(q.empty(), live == 0);
+  };
+  std::function<void(SimTime, bool)> schedule = [&](SimTime when,
+                                                    bool spawn) {
+    const uint64_t seq = next_seq++;
+    scheduled.emplace_back(when, seq);
+    q.ScheduleAt(when, [&, when, seq, spawn](SimTime now) {
+      EXPECT_EQ(now, when);
+      ran.emplace_back(when, seq);
+      expect_counts();
+      if (!spawn) return;
+      switch (rng() % 4) {
+        case 0:  // at the current instant, behind this time's stream events
+          schedule(now, false);
+          break;
+        case 1:  // exactly on a later stream time
+          schedule(now + 0.5 * static_cast<SimTime>(1 + rng() % 3), false);
+          break;
+        case 2:  // between stream times
+          schedule(now + 0.25, false);
+          break;
+        default:  // past the end of the stream
+          schedule(1000.0 + static_cast<SimTime>(rng() % 5), false);
+          break;
+      }
+      expect_counts();
+    });
+  };
+  constexpr int kStream = 2000;
+  for (int i = 0; i < kStream; ++i) {
+    schedule(0.5 * static_cast<SimTime>(i / 4), true);  // runs of four
+    expect_counts();
+  }
+  auto ran_through = [&](SimTime horizon) {
+    size_t due = 0;
+    for (const auto& [when, seq] : scheduled) due += when <= horizon;
+    return due;
+  };
+  for (SimTime horizon : {0.0, 10.0, 10.25, 99.5, 249.5}) {
+    q.RunUntil(horizon);
+    EXPECT_DOUBLE_EQ(q.now(), horizon);
+    EXPECT_EQ(ran.size(), ran_through(horizon)) << "horizon " << horizon;
+    ASSERT_FALSE(ran.empty());
+    EXPECT_LE(ran.back().first, horizon);
+    expect_counts();
+  }
+  q.RunAll();
+  EXPECT_EQ(ran.size(), scheduled.size());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+  EXPECT_GT(scheduled.size(), static_cast<size_t>(kStream) * 3 / 2);
+}
+
 TEST(EventQueueTest, RunningCallbackCanScheduleIntoItsOwnFreedSlot) {
   // The popped callback's slot is free while it runs, so the first event
   // it schedules reuses it, and growing the slab must not disturb the

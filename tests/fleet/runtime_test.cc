@@ -241,6 +241,38 @@ TEST(FleetRuntimeTest, GaugesExposePerReplicaAndPerShardSeries) {
       << "label selector should narrow to one shard's replicas";
 }
 
+TEST(FleetRuntimeTest, SubmitRefusesAnIdInFlightAndAnUnknownModel) {
+  Backend backend;
+  common::ThreadPool pool(2);
+  FleetRuntimeOptions options;
+  options.shards = 1;
+  options.replicas_per_shard = 2;
+  // A long linger keeps the first request queued until Shutdown.
+  options.core.batcher.max_batch_size = 16;
+  options.core.batcher.max_linger_seconds = 10.0;
+  FleetRuntime fleet(options, &pool);
+  fleet.RegisterBackend("m", &backend.server);
+  fleet.Start();
+  Ledger ledger;
+  ASSERT_TRUE(fleet.Submit(MakeRequest(7, "t"), ledger.Callback()).ok());
+  EXPECT_EQ(fleet.Submit(MakeRequest(7, "u"), ledger.Callback()).code(),
+            common::StatusCode::kAlreadyExists);
+  serve::Request unknown = MakeRequest(8, "t");
+  unknown.model = "no-such-model";
+  EXPECT_EQ(fleet.Submit(unknown, ledger.Callback()).code(),
+            common::StatusCode::kNotFound);
+  // Neither refusal was counted or admitted anywhere.
+  EXPECT_EQ(fleet.FleetCounters().submitted, 1u);
+  EXPECT_EQ(fleet.ReplicaStats(0, 0).counters.submitted +
+                fleet.ReplicaStats(0, 1).counters.submitted,
+            1u);
+  fleet.Shutdown();
+  // The first request still gets its one response.
+  ledger.ExpectExactlyOneEach(1);
+  EXPECT_EQ(ledger.served(), 1u);
+  EXPECT_EQ(fleet.FleetCounters().served, 1u);
+}
+
 TEST(FleetRuntimeTest, HedgeWonLatencyRunsFromTheRequestsOwnSubmit) {
   Backend backend;
   common::ThreadPool pool(2);

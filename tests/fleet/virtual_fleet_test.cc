@@ -69,7 +69,7 @@ std::string Serialize(const VirtualFleetReport& report) {
       << report.latency.p99 << ' ' << report.latency.max << '\n';
   out << report.mean_batch_size << ' ' << report.max_queue_depth << ' '
       << report.horizon_seconds << ' ' << report.throughput_rps << ' '
-      << report.availability << ' ' << report.hedge_delay_seconds << '\n';
+      << report.availability << '\n';
   return out.str();
 }
 

@@ -34,7 +34,8 @@ TEST(ServingCoreTest, AcceptsAndBatchesPerModel) {
   EXPECT_TRUE(core.Admit(Req(3, "a"), 0.0).accepted);
   EXPECT_EQ(core.queued(), 3u);
   ASSERT_TRUE(core.HasReadyBatch(0.0));  // model a is full
-  Batch batch = core.TakeReadyBatch(0.0);
+  Batch batch;
+  core.TakeReadyBatch(0.0, &batch);
   EXPECT_EQ(batch.model, "a");
   EXPECT_EQ(batch.requests.size(), 2u);
   EXPECT_EQ(core.queued(), 1u);
@@ -78,7 +79,8 @@ TEST(ServingCoreTest, DropExpiredCountsShedDeadline) {
   ServingCore core(SmallQueue(8));
   EXPECT_TRUE(core.Admit(Req(1, "m", /*deadline=*/2.0), 0.0).accepted);
   EXPECT_TRUE(core.Admit(Req(2, "m", /*deadline=*/50.0), 0.0).accepted);
-  auto expired = core.DropExpired(3.0);
+  std::vector<Request> expired;
+  core.DropExpired(3.0, &expired);
   ASSERT_EQ(expired.size(), 1u);
   EXPECT_EQ(expired[0].id, 1u);
   EXPECT_EQ(core.counters().shed_deadline, 1u);
@@ -106,8 +108,11 @@ TEST(ServingCoreTest, BatchingDisabledMeansSingletonBatches) {
   EXPECT_TRUE(core.Admit(Req(1), 0.0).accepted);
   EXPECT_TRUE(core.Admit(Req(2), 0.0).accepted);
   EXPECT_TRUE(core.HasReadyBatch(0.0));  // no linger: ready immediately
-  EXPECT_EQ(core.TakeReadyBatch(0.0).requests.size(), 1u);
-  EXPECT_EQ(core.TakeReadyBatch(0.0).requests.size(), 1u);
+  Batch batch;
+  core.TakeReadyBatch(0.0, &batch);
+  EXPECT_EQ(batch.requests.size(), 1u);
+  core.TakeReadyBatch(0.0, &batch);
+  EXPECT_EQ(batch.requests.size(), 1u);
 }
 
 TEST(ServingCoreTest, DrainFlushesEverythingIgnoringLinger) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -236,6 +238,62 @@ TEST(ServingRuntimeTest, SubmitAfterShutdownFailsCleanly) {
   runtime.Shutdown();
   common::Status s = runtime.Submit(Req(1, 1.0), nullptr);
   EXPECT_EQ(s.code(), common::StatusCode::kFailedPrecondition);
+}
+
+TEST(ServingRuntimeTest, SubmitRefusesAPendingIdAndAnUnknownModel) {
+  Backend backend;
+  CoreOptions options;
+  // A long linger keeps the first request queued until Shutdown.
+  options.batcher = {.max_batch_size = 16, .max_linger_seconds = 10.0};
+  ServingRuntime runtime(options, &common::ThreadPool::Serial());
+  runtime.RegisterBackend("m", backend.server.get());
+  runtime.Start();
+  std::mutex mu;
+  std::vector<std::pair<int, Response>> heard;  // (caller, response)
+  auto caller = [&](int who) {
+    return [&, who](const Response& r) {
+      std::lock_guard<std::mutex> lock(mu);
+      heard.emplace_back(who, r);
+    };
+  };
+  ASSERT_TRUE(runtime.Submit(Req(7, 1.0), caller(1)).ok());
+  EXPECT_EQ(runtime.Submit(Req(7, 2.0), caller(2)).code(),
+            common::StatusCode::kAlreadyExists);
+  Request unknown = Req(8, 1.0);
+  unknown.model = "no-such-model";
+  EXPECT_EQ(runtime.Submit(unknown, caller(3)).code(),
+            common::StatusCode::kNotFound);
+  EXPECT_EQ(runtime.Stats().counters.submitted, 1u);
+  runtime.Shutdown();
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(heard.size(), 1u);
+  EXPECT_EQ(heard[0].first, 1) << "the first caller must hear back";
+  EXPECT_EQ(heard[0].second.outcome, Outcome::kServed);
+  EXPECT_DOUBLE_EQ(heard[0].second.value, 3.0);
+}
+
+TEST(ServingRuntimeTest, AnIdIsFreeAgainOnceAnswered) {
+  Backend backend;
+  CoreOptions options;
+  options.batching = false;
+  ServingRuntime runtime(options, &common::ThreadPool::Serial());
+  runtime.RegisterBackend("m", backend.server.get());
+  runtime.Start();
+  std::mutex mu;
+  std::condition_variable answered;
+  int responses = 0;
+  auto callback = [&](const Response&) {
+    std::lock_guard<std::mutex> lock(mu);
+    ++responses;
+    answered.notify_all();
+  };
+  for (int round = 1; round <= 2; ++round) {
+    ASSERT_TRUE(runtime.Submit(Req(7, 1.0), callback).ok());
+    std::unique_lock<std::mutex> lock(mu);
+    answered.wait(lock, [&]() { return responses == round; });
+  }
+  runtime.Shutdown();
+  EXPECT_EQ(runtime.Stats().counters.served, 2u);
 }
 
 TEST(ServingRuntimeTest, GaugeSamplerRecordsPoolAndQueueStats) {
