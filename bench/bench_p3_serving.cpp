@@ -22,8 +22,8 @@
 //      collapse hedged requests buy — plus a rolling drain across 4
 //      shards with availability and reroute accounting.
 //
-// Output: human tables on stdout; machine-readable JSON via --out=PATH
-// (default BENCH_p3.json). `--smoke` runs the same experiments at 1/10
+// Output: human tables on stdout; every table's figures also go to
+// machine-readable JSON via --out=PATH (default BENCH_p3.json). `--smoke` runs the same experiments at 1/10
 // the request volume and caps the fleet sweep at 4 shards (CI).
 
 #include <cstdio>
@@ -133,6 +133,14 @@ void RunBatching() {
                     common::Table::Num(r.latency.p50 * 1e3, 2),
                     common::Table::Num(r.latency.p99 * 1e3, 2),
                     std::to_string(r.counters.served)});
+      const std::string prefix = "batching_" +
+                                 std::to_string(static_cast<int>(rate)) +
+                                 "rps_" + (batching ? "on" : "off");
+      Metric(prefix + "_throughput_rps", r.throughput_rps);
+      Metric(prefix + "_mean_batch", r.mean_batch_size);
+      Metric(prefix + "_p50_seconds", r.latency.p50);
+      Metric(prefix + "_p99_seconds", r.latency.p99);
+      Metric(prefix + "_served", static_cast<double>(r.counters.served));
     }
   }
   std::printf("service model: 2 ms dispatch overhead + 0.5 ms per request, "
@@ -163,6 +171,15 @@ void RunShedding() {
                   common::Table::Num(r.latency.p99 * 1e3, 1),
                   std::to_string(r.max_queue_depth)});
     ADS_CHECK(c.accepted == c.Finished());  // lossless drain
+    const std::string prefix =
+        std::string("shedding_") + (shedding ? "capped" : "unbounded");
+    Metric(prefix + "_served", static_cast<double>(c.served));
+    Metric(prefix + "_shed",
+           static_cast<double>(c.shed_capacity + c.shed_deadline));
+    Metric(prefix + "_rejected", static_cast<double>(c.Rejected()));
+    Metric(prefix + "_p50_seconds", r.latency.p50);
+    Metric(prefix + "_p99_seconds", r.latency.p99);
+    Metric(prefix + "_max_queue", static_cast<double>(r.max_queue_depth));
   }
   std::printf("offered %.0f rps against ~400 rps capacity (1 worker, "
               "batching off), %zu requests\n", kRate, kRequests);
@@ -195,6 +212,15 @@ void RunFaults() {
                   std::to_string(tiers[Tier::kHeuristic]),
                   common::Table::Num(r.latency.p99 * 1e3, 2)});
     ADS_CHECK(r.counters.served == kRequests);  // availability holds
+    const std::string prefix =
+        "faults_" + std::to_string(static_cast<int>(rate * 100.0 + 0.5)) +
+        "pct";
+    Metric(prefix + "_served", static_cast<double>(r.counters.served));
+    Metric(prefix + "_deployed", static_cast<double>(tiers[Tier::kDeployed]));
+    Metric(prefix + "_previous", static_cast<double>(tiers[Tier::kPrevious]));
+    Metric(prefix + "_heuristic",
+           static_cast<double>(tiers[Tier::kHeuristic]));
+    Metric(prefix + "_p99_seconds", r.latency.p99);
   }
   table.Print("P3.3 | faults: fallback tier mix under injected deployed-"
               "model failures (availability stays 100%)");
