@@ -37,8 +37,9 @@
 #include "infra/chaos.h"
 #include "infra/scheduler.h"
 #include "ml/linear.h"
+#include "fleet/virtual_fleet.h"
 #include "ml/registry.h"
-#include "serve/virtual_server.h"
+#include "serve/types.h"
 #include "telemetry/span.h"
 #include "telemetry/span_analysis.h"
 
@@ -210,9 +211,9 @@ void RunServingChaos() {
 
 // --flight: machine chaos overlaid on an active canary. The closed
 // autonomy loop drives a drift -> retrain -> canary episode under a
-// VirtualServer; the moment the canary opens, the deployed serving tier
-// starts failing at the configured rate (the "machine under the canary
-// dies" scenario). The fallback chain keeps answering, the breaker
+// one-replica VirtualFleet; the moment the canary opens, the deployed
+// serving tier starts failing at the configured rate (the "machine under
+// the canary dies" scenario). The fallback chain keeps answering, the breaker
 // opens, the health gate aborts the flight, and the loop lands back on
 // the last good model. Deterministic: seeded injector, virtual time.
 void RunFlightChaos() {
@@ -255,10 +256,13 @@ void RunFlightChaos() {
         },
         lopts);
 
-    serve::VirtualOptions vopts;
+    fleet::VirtualFleetOptions vopts;
+    vopts.shards = 1;
+    vopts.replicas_per_shard = 1;
+    vopts.workers_per_replica = 4;
     vopts.core.batcher.max_batch_size = 4;
     vopts.core.batcher.max_linger_seconds = 0.005;
-    serve::VirtualServer server(vopts);
+    fleet::VirtualFleet server(vopts);
     server.RegisterBackend("m", &backend);
     server.SetRouter(&loop);
 
@@ -309,12 +313,9 @@ void RunFlightChaos() {
       xs[id] = request.features[0];
       server.SubmitAt(arrivals[id], std::move(request));
     }
-    serve::VirtualReport report = server.Run();
-    ADS_CHECK(report.counters.accepted == report.counters.Finished())
+    fleet::VirtualFleetReport report = server.Run();
+    ADS_CHECK(report.fleet.accepted == report.fleet.Finished())
         << "request accounting broke under flight chaos";
-    const double availability =
-        static_cast<double>(report.counters.served) /
-        static_cast<double>(report.counters.accepted);
     autonomy::LoopStats stats = loop.stats();
     const bool aborted = stats.aborts > 0;
     // With chaos the episode aborts; once the machine recovers the
@@ -326,7 +327,7 @@ void RunFlightChaos() {
         {common::Table::Pct(rate), outcome,
          std::to_string(stats.aborts), std::to_string(stats.promotes),
          std::to_string(backend.breaker().trips()),
-         common::Table::Pct(availability),
+         common::Table::Pct(report.availability),
          aborted ? common::Table::Num(recovered_at - chaos_armed_at, 3)
                  : "n/a"});
   }

@@ -1,9 +1,10 @@
 // P3 — serving: the concurrent prediction-serving runtime, measured in
 // virtual time. Every experiment drives the same ServingCore (admission
 // control, load shedding, rate limiting, micro-batching) through the
-// deterministic event-loop server, so two runs — at any ADS_THREADS —
-// print byte-identical output. The threaded runtime shares the core and
-// is covered by tests/serve/runtime_test.cc.
+// deterministic event-loop VirtualFleet — experiments 1-3 as one shard of
+// one replica — so two runs, at any ADS_THREADS, print byte-identical
+// output. The threaded runtime shares the core and is covered by
+// tests/serve/runtime_test.cc.
 //
 //   1. Micro-batching: throughput and tail latency vs. offered load with
 //      batching off and on. Amortizing the fixed dispatch overhead turns
@@ -23,8 +24,9 @@
 //      shards with availability and reroute accounting.
 //
 // Output: human tables on stdout; every table's figures also go to
-// machine-readable JSON via --out=PATH (default BENCH_p3.json). `--smoke` runs the same experiments at 1/10
-// the request volume and caps the fleet sweep at 4 shards (CI).
+// machine-readable JSON via --out=PATH (default BENCH_p3.json). `--smoke`
+// runs the same experiments at 1/10 the request volume and caps the fleet
+// sweep at 4 shards (CI).
 
 #include <cstdio>
 #include <cstring>
@@ -42,7 +44,7 @@
 #include "fleet/virtual_fleet.h"
 #include "ml/linear.h"
 #include "ml/registry.h"
-#include "serve/virtual_server.h"
+#include "serve/types.h"
 
 using namespace ads;  // NOLINT: bench brevity
 
@@ -95,13 +97,25 @@ serve::Request Req(uint64_t id, double deadline =
   return r;
 }
 
+/// One serving replica with `workers` virtual batch executors: a fleet of
+/// one shard and one replica, so it never hedges.
+fleet::VirtualFleetOptions OneReplica(size_t workers) {
+  fleet::VirtualFleetOptions options;
+  options.shards = 1;
+  options.replicas_per_shard = 1;
+  options.workers_per_replica = workers;
+  return options;
+}
+
 /// Uniform arrivals at `rate` rps; relative deadline <= 0 means none.
-serve::VirtualReport Drive(const serve::VirtualOptions& options, size_t count,
-                           double rate, double relative_deadline = 0.0,
-                           common::FaultInjector* injector = nullptr,
-                           serve::VirtualServer::Callback callback = nullptr) {
+fleet::VirtualFleetReport Drive(const fleet::VirtualFleetOptions& options,
+                                size_t count, double rate,
+                                double relative_deadline = 0.0,
+                                common::FaultInjector* injector = nullptr,
+                                fleet::VirtualFleet::Callback callback =
+                                    nullptr) {
   Backend backend(injector);
-  serve::VirtualServer server(options);
+  fleet::VirtualFleet server(options);
   server.RegisterBackend("latency", backend.server.get());
   if (callback) server.SetResponseCallback(std::move(callback));
   for (size_t i = 0; i < count; ++i) {
@@ -120,19 +134,18 @@ void RunBatching() {
   const size_t kRequests = 200 * g_scale;
   for (double rate : {400.0, 1000.0, 2000.0, 3000.0}) {
     for (bool batching : {false, true}) {
-      serve::VirtualOptions options;
+      fleet::VirtualFleetOptions options = OneReplica(2);
       options.core.batching = batching;
       options.core.batcher = {.max_batch_size = 16,
                               .max_linger_seconds = 0.004};
       options.core.queue_capacity = std::numeric_limits<size_t>::max();
-      options.workers = 2;
-      serve::VirtualReport r = Drive(options, kRequests, rate);
+      fleet::VirtualFleetReport r = Drive(options, kRequests, rate);
       table.AddRow({common::Table::Num(rate, 0), batching ? "on" : "off",
                     common::Table::Num(r.throughput_rps, 0),
                     common::Table::Num(r.mean_batch_size, 2),
                     common::Table::Num(r.latency.p50 * 1e3, 2),
                     common::Table::Num(r.latency.p99 * 1e3, 2),
-                    std::to_string(r.counters.served)});
+                    std::to_string(r.fleet.served)});
       const std::string prefix = "batching_" +
                                  std::to_string(static_cast<int>(rate)) +
                                  "rps_" + (batching ? "on" : "off");
@@ -140,7 +153,7 @@ void RunBatching() {
       Metric(prefix + "_mean_batch", r.mean_batch_size);
       Metric(prefix + "_p50_seconds", r.latency.p50);
       Metric(prefix + "_p99_seconds", r.latency.p99);
-      Metric(prefix + "_served", static_cast<double>(r.counters.served));
+      Metric(prefix + "_served", static_cast<double>(r.fleet.served));
     }
   }
   std::printf("service model: 2 ms dispatch overhead + 0.5 ms per request, "
@@ -155,17 +168,16 @@ void RunShedding() {
   const size_t kRequests = 200 * g_scale;
   const double kRate = 800.0;  // ~2x a single unbatched worker's capacity
   for (bool shedding : {false, true}) {
-    serve::VirtualOptions options;
+    fleet::VirtualFleetOptions options = OneReplica(1);
     options.core.batching = false;
     options.core.queue_capacity =
         shedding ? 32 : std::numeric_limits<size_t>::max();
-    options.workers = 1;
     double deadline = shedding ? 0.05 : 0.0;
-    serve::VirtualReport r = Drive(options, kRequests, kRate, deadline);
-    const serve::Counters& c = r.counters;
+    fleet::VirtualFleetReport r = Drive(options, kRequests, kRate, deadline);
+    const fleet::ShardCounters& c = r.fleet;
     table.AddRow({shedding ? "cap 32 + 50ms deadline" : "unbounded",
                   std::to_string(c.served),
-                  std::to_string(c.shed_capacity + c.shed_deadline),
+                  std::to_string(c.Shed()),
                   std::to_string(c.Rejected()),
                   common::Table::Num(r.latency.p50 * 1e3, 1),
                   common::Table::Num(r.latency.p99 * 1e3, 1),
@@ -174,8 +186,7 @@ void RunShedding() {
     const std::string prefix =
         std::string("shedding_") + (shedding ? "capped" : "unbounded");
     Metric(prefix + "_served", static_cast<double>(c.served));
-    Metric(prefix + "_shed",
-           static_cast<double>(c.shed_capacity + c.shed_deadline));
+    Metric(prefix + "_shed", static_cast<double>(c.Shed()));
     Metric(prefix + "_rejected", static_cast<double>(c.Rejected()));
     Metric(prefix + "_p50_seconds", r.latency.p50);
     Metric(prefix + "_p99_seconds", r.latency.p99);
@@ -194,10 +205,10 @@ void RunFaults() {
   for (double rate : {0.0, 0.05, 0.3, 0.8}) {
     common::FaultInjector injector(23);
     injector.Configure("serving.deployed", {.probability = rate});
-    serve::VirtualOptions options;
+    fleet::VirtualFleetOptions options = OneReplica(4);
     options.core.batcher = {.max_batch_size = 8, .max_linger_seconds = 0.002};
     std::map<autonomy::ResilientModelServer::Tier, uint64_t> tiers;
-    serve::VirtualReport r =
+    fleet::VirtualFleetReport r =
         Drive(options, kRequests, 500.0, 0.0, &injector,
               [&tiers](const serve::Response& response) {
                 if (response.outcome == serve::Outcome::kServed) {
@@ -206,16 +217,16 @@ void RunFaults() {
               });
     using Tier = autonomy::ResilientModelServer::Tier;
     table.AddRow({common::Table::Pct(rate),
-                  std::to_string(r.counters.served),
+                  std::to_string(r.fleet.served),
                   std::to_string(tiers[Tier::kDeployed]),
                   std::to_string(tiers[Tier::kPrevious]),
                   std::to_string(tiers[Tier::kHeuristic]),
                   common::Table::Num(r.latency.p99 * 1e3, 2)});
-    ADS_CHECK(r.counters.served == kRequests);  // availability holds
+    ADS_CHECK(r.fleet.served == kRequests);  // availability holds
     const std::string prefix =
         "faults_" + std::to_string(static_cast<int>(rate * 100.0 + 0.5)) +
         "pct";
-    Metric(prefix + "_served", static_cast<double>(r.counters.served));
+    Metric(prefix + "_served", static_cast<double>(r.fleet.served));
     Metric(prefix + "_deployed", static_cast<double>(tiers[Tier::kDeployed]));
     Metric(prefix + "_previous", static_cast<double>(tiers[Tier::kPrevious]));
     Metric(prefix + "_heuristic",

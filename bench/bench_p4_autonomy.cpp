@@ -6,9 +6,9 @@
 //
 //   1. Virtual time (deterministic, byte-identical run to run): the
 //      golden-trace promote and rollback scenarios at bench scale —
-//      a VirtualServer with the AutonomyLoop attached as version router,
-//      every served response fed back as a loop sample. Reports
-//      promote latency (drift alarm -> deployed pointer swapped),
+//      a one-replica VirtualFleet with the AutonomyLoop attached as
+//      version router, every served response fed back as a loop sample.
+//      Reports promote latency (drift alarm -> deployed pointer swapped),
 //      rollback latency (regression onset -> previous version restored),
 //      and serving availability while the flights were active.
 //
@@ -36,13 +36,13 @@
 #include "common/logging.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
+#include "fleet/virtual_fleet.h"
 #include "ml/dataset.h"
 #include "ml/forest.h"
 #include "ml/linear.h"
 #include "ml/registry.h"
 #include "serve/runtime.h"
 #include "serve/types.h"
-#include "serve/virtual_server.h"
 #include "telemetry/span.h"
 
 using namespace ads;  // NOLINT: bench brevity
@@ -95,7 +95,7 @@ autonomy::AutonomyLoopOptions LoopOptions() {
 // --------------------------------------------------------------------
 
 struct FlightRun {
-  serve::VirtualReport report;
+  fleet::VirtualFleetReport report;
   autonomy::LoopStats stats;
   std::vector<telemetry::Span> spans;
   uint32_t deployed = 0;
@@ -114,10 +114,13 @@ FlightRun RunVirtualScenario(size_t n, double (*slope_at)(uint64_t),
   telemetry::Tracer tracer(29);
   loop.SetTracer(&tracer);
 
-  serve::VirtualOptions vopts;
+  fleet::VirtualFleetOptions vopts;
+  vopts.shards = 1;
+  vopts.replicas_per_shard = 1;
+  vopts.workers_per_replica = 4;
   vopts.core.batcher.max_batch_size = 4;
   vopts.core.batcher.max_linger_seconds = 0.005;
-  serve::VirtualServer server(vopts);
+  fleet::VirtualFleet server(vopts);
   server.RegisterBackend("m", &backend);
   server.SetRouter(&loop);
 
@@ -177,9 +180,7 @@ void RunVirtualFlights() {
   const double drift_alarm = SpanStart(promote.spans, "episode");
   const double promoted_at = SpanStart(promote.spans, "promote");
   const double promote_latency = promoted_at - drift_alarm;
-  const double promote_avail =
-      static_cast<double>(promote.report.counters.served) /
-      static_cast<double>(promote.report.counters.accepted);
+  const double promote_avail = promote.report.availability;
 
   // Rollback: the world reverts at request 190 (t=1.91) inside the
   // promoted model's probation window.
@@ -189,9 +190,7 @@ void RunVirtualFlights() {
   const double reversion_onset = 0.01 * (190 + 1);
   const double rolled_back_at = SpanStart(rollback.spans, "rollback");
   const double rollback_latency = rolled_back_at - reversion_onset;
-  const double rollback_avail =
-      static_cast<double>(rollback.report.counters.served) /
-      static_cast<double>(rollback.report.counters.accepted);
+  const double rollback_avail = rollback.report.availability;
 
   common::Table table({"scenario", "episodes", "outcome", "latency (s)",
                        "availability", "deployed after"});

@@ -90,7 +90,7 @@ struct AutonomyLoopOptions {
 
 /// One serving-time observation fed back into the loop: what was served,
 /// by which version, and what the truth turned out to be. Plain scalars —
-/// the loop works identically under the virtual-time server and the
+/// the loop works identically under the virtual-time fleet and the
 /// threaded runtime.
 struct LoopSample {
   std::string tenant;
@@ -132,7 +132,7 @@ struct LoopStats {
 ///
 /// Deterministic by construction: the loop owns no clock and no threads.
 /// Callers push samples (OnSample) and health snapshots (ReportHealth)
-/// with explicit timestamps; under the virtual-time server the whole
+/// with explicit timestamps; under the virtual-time fleet the whole
 /// promote/rollback history is byte-reproducible. With a null pool the
 /// trainer runs synchronously at trigger time and the candidate surfaces
 /// `retrain_duration_seconds` later (pure virtual-time mode); with a pool

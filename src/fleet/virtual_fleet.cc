@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "telemetry/gauges.h"
 
 namespace ads::fleet {
 
@@ -18,10 +17,8 @@ std::string ShardName(ShardId shard) {
 
 }  // namespace
 
-VirtualFleet::VirtualFleet(VirtualFleetOptions options,
-                           telemetry::TelemetryStore* store)
+VirtualFleet::VirtualFleet(VirtualFleetOptions options)
     : options_(options),
-      store_(store),
       router_(options.shards, options.replicas_per_shard, options.router),
       ledger_(&router_, options.hedge),
       drain_spans_(options.shards, telemetry::kNoSpan),
@@ -442,45 +439,9 @@ void VirtualFleet::RejoinShardNow(ShardId shard, double now) {
   }
 }
 
-void VirtualFleet::SampleGauges(double now) {
-  for (ShardId shard = 0; shard < options_.shards; ++shard) {
-    telemetry::ScopedGauges gauges(
-        store_, "fleet.serve.",
-        {{"shard", std::to_string(shard)}});
-    const ShardCounters& c = ledger_.counters()[shard];
-    size_t busy = 0;
-    for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
-      busy += replicas_[shard * options_.replicas_per_shard + r].busy_workers;
-    }
-    gauges.Record("queue_depth", now,
-                  static_cast<double>(ShardQueueDepth(shard)));
-    gauges.Record("busy_workers", now, static_cast<double>(busy));
-    gauges.Record("served_total", now, static_cast<double>(c.served));
-    gauges.Record("shed_total", now, static_cast<double>(c.Shed()));
-    gauges.Record("rejected_total", now, static_cast<double>(c.Rejected()));
-    gauges.Record("hedges_fired_total", now,
-                  static_cast<double>(c.hedges_fired));
-    gauges.Record("draining", now, router_.draining(shard) ? 1.0 : 0.0);
-  }
-  bool busy_anywhere = false;
-  for (const Replica& replica : replicas_) {
-    if (replica.core.queued() > 0 || replica.busy_workers > 0) {
-      busy_anywhere = true;
-      break;
-    }
-  }
-  if (busy_anywhere || !queue_.empty()) {
-    queue_.ScheduleAt(now + options_.telemetry_period_seconds,
-                      [this](common::SimTime t) { SampleGauges(t); });
-  }
-}
-
 VirtualFleetReport VirtualFleet::Run() {
   ADS_CHECK(!ran_) << "Run() is one-shot";
   ran_ = true;
-  if (store_ != nullptr && options_.telemetry_period_seconds > 0.0) {
-    queue_.ScheduleAt(0.0, [this](common::SimTime t) { SampleGauges(t); });
-  }
   queue_.RunAll();
   for (const Replica& replica : replicas_) {
     ADS_CHECK(replica.core.queued() == 0) << "fleet drain left work queued";

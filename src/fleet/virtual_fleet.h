@@ -19,11 +19,17 @@
 #include "fleet/types.h"
 #include "serve/core.h"
 #include "serve/types.h"
-#include "serve/virtual_server.h"
 #include "telemetry/span.h"
-#include "telemetry/store.h"
 
 namespace ads::fleet {
+
+/// Deterministic cost model for one simulated backend dispatch: a batch of
+/// n requests occupies a worker for overhead + n * per_item seconds. The
+/// fixed overhead is what micro-batching amortizes.
+struct ServiceTimeModel {
+  double batch_overhead_seconds = 0.002;
+  double per_item_seconds = 0.0005;
+};
 
 struct VirtualFleetOptions {
   size_t shards = 4;
@@ -32,7 +38,7 @@ struct VirtualFleetOptions {
   size_t workers_per_replica = 1;
   /// Admission/batching policy instantiated per replica core.
   serve::CoreOptions core;
-  serve::ServiceTimeModel service;
+  ServiceTimeModel service;
   /// Straggler model: each dispatched batch independently draws slow with
   /// this probability and takes slow_multiplier times its nominal service
   /// time. This is the tail hedging exists to cut — with it at 0 hedging
@@ -43,8 +49,6 @@ struct VirtualFleetOptions {
   uint64_t seed = 1;
   HedgeOptions hedge;
   RouterOptions router;
-  /// Per-shard gauge-sampling period into the telemetry store (0 = off).
-  double telemetry_period_seconds = 0.0;
 };
 
 /// End-of-run aggregate of one virtual-time fleet experiment.
@@ -73,6 +77,14 @@ struct VirtualFleetReport {
 /// that reroute queued work with exact ownership accounting — but with a
 /// deterministic service-time model, so for a fixed seed the report and
 /// span table are byte-identical across runs and ADS_THREADS values.
+/// With shards = 1, replicas_per_shard = 1 and hedging off it is the
+/// virtual twin of one ServingRuntime, which is how the serving benches,
+/// the flight-chaos and autonomy benches and the serving goldens run.
+///
+/// Requests expired at *dispatch* time are shed; once a batch is in
+/// flight its requests are served even if their deadline passes
+/// mid-execution (matching the threaded runtime, which checks deadlines
+/// immediately before calling the backend).
 ///
 /// Accounting is by logical request, in the FlightLedger FleetRuntime
 /// also drives (see ShardCounters): a hedge launches a physical duplicate
@@ -89,10 +101,11 @@ struct VirtualFleetReport {
 /// scratch are all reused.
 class VirtualFleet {
  public:
+  /// Observes every logical request's terminal response (serves, sheds,
+  /// rejects) in event order.
   using Callback = std::function<void(const serve::Response&)>;
 
-  explicit VirtualFleet(VirtualFleetOptions options,
-                        telemetry::TelemetryStore* store = nullptr);
+  explicit VirtualFleet(VirtualFleetOptions options);
 
   /// Registers a model backend fleet-wide (every replica serves it).
   /// Borrowed; must outlive Run().
@@ -165,10 +178,8 @@ class VirtualFleet {
   void RejoinShardNow(ShardId shard, double now);
   void PublishLoad(ShardId shard);
   void Emit(const serve::Response& response);
-  void SampleGauges(double now);
 
   VirtualFleetOptions options_;
-  telemetry::TelemetryStore* store_;
   telemetry::Tracer* tracer_ = nullptr;
   const autonomy::VersionRouter* version_router_ = nullptr;
   common::EventQueue queue_;

@@ -15,7 +15,7 @@
 
 namespace ads::serve {
 
-/// Configuration shared by the threaded runtime and virtual-time server.
+/// Configuration shared by the threaded runtime and the virtual-time fleet.
 struct CoreOptions {
   /// Total queued requests across all models; arrivals beyond this either
   /// evict a lower-priority victim (load shedding) or are rejected.
@@ -44,9 +44,9 @@ struct AdmitResult {
 /// admission with deadline/priority-aware shedding, per-tenant rate
 /// limiting, and per-model micro-batching. Owns all queued requests and
 /// the monotonic counters; owns no threads and no clock — both runtimes
-/// (ServingRuntime under a mutex, VirtualServer from its event loop) drive
-/// it with explicit timestamps, which is what makes virtual-time runs
-/// byte-reproducible.
+/// (ServingRuntime under a mutex, VirtualFleet's replicas from its event
+/// loop) drive it with explicit timestamps, which is what makes
+/// virtual-time runs byte-reproducible.
 class ServingCore {
  public:
   explicit ServingCore(CoreOptions options);

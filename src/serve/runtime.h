@@ -24,7 +24,7 @@
 
 namespace ads::serve {
 
-/// Snapshot returned by ServingRuntime::Stats and VirtualServer reports.
+/// Snapshot returned by ServingRuntime::Stats.
 struct ServingStats {
   Counters counters;
   size_t queued = 0;
@@ -97,7 +97,7 @@ class ServingRuntime {
   /// tracer is thread-safe, so dispatcher and pool workers record
   /// concurrently: causality (request → admission → batch → backend →
   /// fallback) is exact, but wall-clock timestamps and span id order vary
-  /// run to run — use VirtualServer for byte-reproducible traces.
+  /// run to run — use a VirtualFleet for byte-reproducible traces.
   void SetTracer(telemetry::Tracer* tracer);
 
   /// Starts the dispatcher. Requires at least one registered backend.

@@ -16,9 +16,9 @@ namespace ads::telemetry {
 /// scope like ("fleet.serve.", {shard: "2", replica: "0"}) and keeps
 /// recording the same relative names ("queue_depth", "latency.p99").
 ///
-/// The single-instance emitters (ServingRuntime, VirtualServer) use the
-/// default scope ("serve.", no labels), which reproduces their historical
-/// series names exactly — existing dashboards and tests see no change.
+/// The single-instance emitter, ServingRuntime, uses the default scope
+/// ("serve.", no labels), which reproduces its historical series names
+/// exactly — existing dashboards and tests see no change.
 ///
 /// Cheap value type: copy freely. Thread-safety is the store's (all
 /// writes go through TelemetryStore::Record, which locks internally).

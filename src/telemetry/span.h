@@ -41,7 +41,7 @@ struct Span {
 /// Span ids come from a seeded monotonic counter: the first span gets
 /// `seed * 2^20 + 1` and ids increase by one per StartSpan. Components
 /// driven by a deterministic event loop (the engine job simulators, the
-/// cluster scheduler, VirtualServer) therefore produce byte-identical
+/// cluster scheduler, VirtualFleet) therefore produce byte-identical
 /// span tables for a fixed seed, across runs and across ADS_THREADS —
 /// none of them draw from the shared thread pool. Under the threaded
 /// ServingRuntime the tracer is merely thread-safe: ids stay unique and

@@ -5,12 +5,12 @@
 #include <vector>
 
 #include "autonomy/serving.h"
+#include "fleet/virtual_fleet.h"
 #include "ml/linear.h"
 #include "ml/registry.h"
 #include "serve/types.h"
-#include "serve/virtual_server.h"
 
-namespace ads::serve {
+namespace ads::fleet {
 namespace {
 
 std::string BlobWithSlope(double slope) {
@@ -19,13 +19,25 @@ std::string BlobWithSlope(double slope) {
   return m.Serialize();
 }
 
-Request MakeRequest(uint64_t id, double x) {
-  Request request;
+serve::Request MakeRequest(uint64_t id, double x) {
+  serve::Request request;
   request.id = id;
   request.model = "m";
   request.tenant = "t";
   request.features = {x};
   return request;
+}
+
+/// One replica with one virtual worker, so a second batch queues behind
+/// the first.
+VirtualFleetOptions OneWorker() {
+  VirtualFleetOptions options;
+  options.shards = 1;
+  options.replicas_per_shard = 1;
+  options.workers_per_replica = 1;
+  options.core.batcher.max_batch_size = 4;
+  options.core.batcher.max_linger_seconds = 0.05;
+  return options;
 }
 
 /// A model hot-swap landing while micro-batches are queued must not
@@ -39,15 +51,11 @@ TEST(HotSwapTest, InFlightBatchesCompleteAgainstAdmissionVersion) {
   autonomy::ResilientModelServer backend(
       &registry, "m", [](const std::vector<double>&) { return -1.0; });
 
-  VirtualOptions options;
-  options.core.batcher.max_batch_size = 4;
-  options.core.batcher.max_linger_seconds = 0.05;
-  options.workers = 1;  // queues batch 2 behind batch 1
-  VirtualServer server(options);
+  VirtualFleet server(OneWorker());
   server.RegisterBackend("m", &backend);
 
-  std::map<uint64_t, Response> responses;
-  server.SetResponseCallback([&](const Response& response) {
+  std::map<uint64_t, serve::Response> responses;
+  server.SetResponseCallback([&](const serve::Response& response) {
     responses[response.id] = response;
     if (response.id == 0) {
       // The swap fires mid-run, from inside the event loop, while the
@@ -74,9 +82,9 @@ TEST(HotSwapTest, InFlightBatchesCompleteAgainstAdmissionVersion) {
                     MakeRequest(i, 1.0 + static_cast<double>(i)));
   }
 
-  VirtualReport report = server.Run();
-  ASSERT_EQ(report.counters.accepted, 12u);
-  ASSERT_EQ(report.counters.served, 12u);
+  VirtualFleetReport report = server.Run();
+  ASSERT_EQ(report.fleet.accepted, 12u);
+  ASSERT_EQ(report.fleet.served, 12u);
   ASSERT_EQ(responses.size(), 12u);
 
   for (uint64_t i = 0; i < 8; ++i) {
@@ -105,15 +113,11 @@ TEST(HotSwapTest, RollbackDoesNotRetargetAdmittedRequests) {
   autonomy::ResilientModelServer backend(
       &registry, "m", [](const std::vector<double>&) { return -1.0; });
 
-  VirtualOptions options;
-  options.core.batcher.max_batch_size = 4;
-  options.core.batcher.max_linger_seconds = 0.05;
-  options.workers = 1;
-  VirtualServer server(options);
+  VirtualFleet server(OneWorker());
   server.RegisterBackend("m", &backend);
 
-  std::map<uint64_t, Response> responses;
-  server.SetResponseCallback([&](const Response& response) {
+  std::map<uint64_t, serve::Response> responses;
+  server.SetResponseCallback([&](const serve::Response& response) {
     responses[response.id] = response;
     if (response.id == 0) {
       ASSERT_TRUE(registry.Rollback("m").ok());  // v2 -> v1
@@ -134,8 +138,8 @@ TEST(HotSwapTest, RollbackDoesNotRetargetAdmittedRequests) {
     server.SubmitAt(0.2, MakeRequest(i, 2.0));
   }
 
-  VirtualReport report = server.Run();
-  ASSERT_EQ(report.counters.served, 12u);
+  VirtualFleetReport report = server.Run();
+  ASSERT_EQ(report.fleet.served, 12u);
   for (uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(responses[i].model_version, 2u) << "request " << i;
     EXPECT_DOUBLE_EQ(responses[i].value, 10.0) << "request " << i;
@@ -147,4 +151,4 @@ TEST(HotSwapTest, RollbackDoesNotRetargetAdmittedRequests) {
 }
 
 }  // namespace
-}  // namespace ads::serve
+}  // namespace ads::fleet

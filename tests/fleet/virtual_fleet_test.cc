@@ -8,9 +8,11 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autonomy/serving.h"
+#include "common/fault_injection.h"
 #include "ml/linear.h"
 #include "ml/registry.h"
 #include "serve/types.h"
@@ -28,12 +30,12 @@ std::string BlobWithSlope(double slope) {
 
 // Registry + resilient backend for one model "m" with v1 deployed.
 struct Backend {
-  Backend()
+  explicit Backend(common::FaultInjector* injector = nullptr)
       : server(&registry, "m",
                [](const std::vector<double>& f) {
                  return f.empty() ? 0.0 : f[0];
                },
-               autonomy::ServingOptions()) {
+               autonomy::ServingOptions(), injector) {
     registry.Register("m", BlobWithSlope(2.0));
     EXPECT_TRUE(registry.Deploy("m", 1).ok());
   }
@@ -49,6 +51,42 @@ serve::Request MakeRequest(uint64_t id, const std::string& tenant) {
   request.features = {1.0 + 0.001 * static_cast<double>(id % 100)};
   return request;
 }
+
+// One shard of one replica: the virtual twin of a single ServingRuntime.
+VirtualFleetOptions OneReplica(size_t workers) {
+  VirtualFleetOptions options;
+  options.shards = 1;
+  options.replicas_per_shard = 1;
+  options.workers_per_replica = workers;
+  return options;
+}
+
+// Submits `requests` arrivals, one every `dt` seconds, each due
+// `deadline_after` seconds after it arrives; records every response in
+// event order into `responses` when given.
+VirtualFleetReport RunUniform(const VirtualFleetOptions& options,
+                              size_t requests, double dt,
+                              double deadline_after,
+                              std::vector<serve::Response>* responses = nullptr,
+                              common::FaultInjector* injector = nullptr) {
+  Backend backend(injector);
+  VirtualFleet fleet(options);
+  fleet.RegisterBackend("m", &backend.server);
+  if (responses != nullptr) {
+    fleet.SetResponseCallback([responses](const serve::Response& response) {
+      responses->push_back(response);
+    });
+  }
+  for (uint64_t i = 0; i < requests; ++i) {
+    const double t = dt * static_cast<double>(i);
+    serve::Request request = MakeRequest(i, "t");
+    request.deadline = t + deadline_after;
+    fleet.SubmitAt(t, std::move(request));
+  }
+  return fleet.Run();
+}
+
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
 // Exact textual image of a report, for byte-determinism comparisons.
 std::string Serialize(const VirtualFleetReport& report) {
@@ -120,11 +158,15 @@ TEST(VirtualFleetTest, ServesEverythingAndBalancesAcrossShards) {
   EXPECT_GT(report.throughput_rps, 0.0);
 }
 
-VirtualFleetReport RunSeededScenario(std::string* spans) {
+// Hedged, with stragglers; `responses` gets every response's id,
+// outcome, value and latency, exactly.
+VirtualFleetReport RunSeededScenario(size_t shards, size_t replicas,
+                                     std::string* spans,
+                                     std::string* responses) {
   Backend backend;
   VirtualFleetOptions options;
-  options.shards = 4;
-  options.replicas_per_shard = 2;
+  options.shards = shards;
+  options.replicas_per_shard = replicas;
   options.seed = 7;
   options.slow_probability = 0.1;
   options.hedge.enabled = true;
@@ -134,6 +176,12 @@ VirtualFleetReport RunSeededScenario(std::string* spans) {
   fleet.RegisterBackend("m", &backend.server);
   telemetry::Tracer tracer(29);
   fleet.SetTracer(&tracer);
+  std::ostringstream log;
+  log << std::setprecision(17);
+  fleet.SetResponseCallback([&log](const serve::Response& response) {
+    log << response.id << ' ' << serve::OutcomeName(response.outcome) << ' '
+        << response.value << ' ' << response.latency_seconds << '\n';
+  });
   for (uint64_t i = 0; i < 300; ++i) {
     fleet.SubmitAt(0.002 * static_cast<double>(i),
                    MakeRequest(i, "tenant-" + std::to_string(i % 25)));
@@ -141,19 +189,30 @@ VirtualFleetReport RunSeededScenario(std::string* spans) {
   VirtualFleetReport report = fleet.Run();
   EXPECT_EQ(tracer.open_count(), 0u);
   *spans = telemetry::SerializeSpans(tracer.Snapshot());
+  *responses = log.str();
   return report;
 }
 
 TEST(VirtualFleetTest, ByteIdenticalAcrossRuns) {
-  std::string spans1, spans2;
-  VirtualFleetReport r1 = RunSeededScenario(&spans1);
-  VirtualFleetReport r2 = RunSeededScenario(&spans2);
-  // Full report AND full span table (ids and timestamps included): the
-  // fleet is a seeded discrete-event loop that never touches the shared
-  // thread pool, so ADS_THREADS cannot perturb it either (the trace CI
-  // job re-runs the golden suite under ADS_THREADS=1 and 4).
-  EXPECT_EQ(Serialize(r1), Serialize(r2));
-  EXPECT_EQ(spans1, spans2);
+  // 4 shards x 2 replicas, and the one-replica fleet (which never hedges).
+  for (const auto& [shards, replicas] :
+       std::vector<std::pair<size_t, size_t>>{{4, 2}, {1, 1}}) {
+    SCOPED_TRACE(std::to_string(shards) + "x" + std::to_string(replicas));
+    std::string spans1, spans2, responses1, responses2;
+    VirtualFleetReport r1 =
+        RunSeededScenario(shards, replicas, &spans1, &responses1);
+    VirtualFleetReport r2 =
+        RunSeededScenario(shards, replicas, &spans2, &responses2);
+    EXPECT_EQ(r1.fleet.submitted, 300u);
+    // Full report, every response AND the full span table (ids and
+    // timestamps included): the fleet is a seeded discrete-event loop
+    // that never touches the shared thread pool, so ADS_THREADS cannot
+    // perturb it either (the trace CI job re-runs the golden suite under
+    // ADS_THREADS=1 and 4).
+    EXPECT_EQ(Serialize(r1), Serialize(r2));
+    EXPECT_EQ(responses1, responses2);
+    EXPECT_EQ(spans1, spans2);
+  }
 }
 
 VirtualFleetReport RunTailScenario(bool hedge) {
@@ -322,6 +381,102 @@ TEST(VirtualFleetTest, VersionPinSurvivesMidRunDeploy) {
   EXPECT_EQ(v1 + v2, 120u);
   EXPECT_GT(v1, 0u);
   EXPECT_GT(v2, 0u);
+}
+
+TEST(VirtualFleetTest, BatchSizeOneMatchesDirectBackendCalls) {
+  VirtualFleetOptions options = OneReplica(1);
+  options.core.batching = false;
+  std::vector<serve::Response> responses;
+  VirtualFleetReport report =
+      RunUniform(options, 100, 0.01, kNoDeadline, &responses);
+  ASSERT_EQ(responses.size(), 100u);
+  // Reference: the same model served directly, no fleet in between.
+  Backend reference;
+  for (uint64_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(responses[i].id, i);
+    EXPECT_EQ(responses[i].outcome, serve::Outcome::kServed);
+    const double direct =
+        reference.server
+            .Predict(MakeRequest(i, "t").features, static_cast<double>(i))
+            .value;
+    // Bit-identical, not approximately equal: serving adds queueing,
+    // never arithmetic.
+    EXPECT_EQ(responses[i].value, direct) << "request " << i;
+  }
+  EXPECT_DOUBLE_EQ(report.mean_batch_size, 1.0);
+}
+
+TEST(VirtualFleetTest, SheddingBoundsTailLatencyUnderOverload) {
+  // 800 rps offered against one unbatched worker's ~400 rps (2 ms + 0.5 ms
+  // per request).
+  const size_t kRequests = 2000;
+  const double kDt = 0.00125;
+  VirtualFleetOptions unshed = OneReplica(1);
+  unshed.core.batching = false;
+  unshed.core.queue_capacity = std::numeric_limits<size_t>::max();
+  VirtualFleetReport unshed_report =
+      RunUniform(unshed, kRequests, kDt, kNoDeadline);
+
+  // Same arrivals, a bounded queue, and a 200 ms deadline on each.
+  VirtualFleetOptions shed = unshed;
+  shed.core.queue_capacity = 32;
+  VirtualFleetReport shed_report =
+      RunUniform(shed, kRequests, kDt, 0.2);
+
+  // Unshed overload: everything served, latency grows without bound
+  // (p99 on the order of the whole backlog).
+  EXPECT_EQ(unshed_report.fleet.served, kRequests);
+  EXPECT_GT(unshed_report.latency.p99, 1.0);
+  // Shedding engaged: bounded queue + deadlines keep served latency low...
+  EXPECT_LT(shed_report.latency.p99, 0.25);
+  // ...at the cost of explicitly accounted rejections and sheds.
+  EXPECT_GT(shed_report.fleet.Rejected() + shed_report.fleet.Shed(), 0u);
+  EXPECT_EQ(shed_report.fleet.accepted, shed_report.fleet.Finished());
+}
+
+TEST(VirtualFleetTest, BatchingRaisesSaturatedThroughput) {
+  const size_t kRequests = 2000;
+  const double kDt = 0.0005;  // 2000 rps offered
+  VirtualFleetOptions off = OneReplica(2);
+  off.core.batching = false;
+  off.core.queue_capacity = std::numeric_limits<size_t>::max();
+  VirtualFleetReport report_off =
+      RunUniform(off, kRequests, kDt, kNoDeadline);
+
+  VirtualFleetOptions on = off;
+  on.core.batching = true;
+  on.core.batcher = {.max_batch_size = 16, .max_linger_seconds = 0.004};
+  VirtualFleetReport report_on =
+      RunUniform(on, kRequests, kDt, kNoDeadline);
+
+  // Both serve everything (unbounded queue), but batching amortizes the
+  // 2 ms dispatch overhead and drains the same load in far less time.
+  EXPECT_EQ(report_off.fleet.served, kRequests);
+  EXPECT_EQ(report_on.fleet.served, kRequests);
+  EXPECT_GT(report_on.mean_batch_size, 4.0);
+  EXPECT_GT(report_on.throughput_rps, 1.5 * report_off.throughput_rps);
+}
+
+TEST(VirtualFleetTest, BackendFaultsFallBackWithoutDroppingRequests) {
+  common::FaultInjector injector(23);
+  injector.Configure("serving.deployed", {.probability = 0.9});
+  VirtualFleetOptions options = OneReplica(4);
+  options.core.batcher = {.max_batch_size = 4, .max_linger_seconds = 0.002};
+  std::vector<serve::Response> responses;
+  VirtualFleetReport report =
+      RunUniform(options, 400, 0.002, kNoDeadline, &responses, &injector);
+  // Availability survives the faults: the fallback chain answers.
+  EXPECT_EQ(report.fleet.served, 400u);
+  ASSERT_EQ(responses.size(), 400u);
+  size_t fallbacks = 0;
+  for (const serve::Response& response : responses) {
+    EXPECT_EQ(response.outcome, serve::Outcome::kServed);
+    if (response.tier != autonomy::ResilientModelServer::Tier::kDeployed) {
+      ++fallbacks;
+    }
+  }
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(injector.Injected("serving.deployed"), 0u);
 }
 
 TEST(VirtualFleetTest, SingleShardDegeneratesToPlainServing) {

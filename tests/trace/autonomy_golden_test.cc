@@ -1,6 +1,6 @@
 // End-to-end golden traces for the closed autonomy loop under live
-// virtual-time traffic: a VirtualServer serves requests while an
-// AutonomyLoop (attached as the server's version router and fed from the
+// virtual-time traffic: a one-replica VirtualFleet serves requests while
+// an AutonomyLoop (attached as its version router and fed from the
 // response stream) walks drift -> retrain -> shadow -> canary -> promote,
 // and, in the second scenario, a post-promote regression walks probation
 // -> rollback. The loop's episode span tree is diffed against checked-in
@@ -25,10 +25,10 @@
 
 #include "autonomy/loop.h"
 #include "autonomy/serving.h"
+#include "fleet/virtual_fleet.h"
 #include "ml/linear.h"
 #include "ml/registry.h"
 #include "serve/types.h"
-#include "serve/virtual_server.h"
 #include "telemetry/span.h"
 #include "telemetry/span_analysis.h"
 
@@ -99,17 +99,17 @@ AutonomyLoopOptions ScenarioOptions() {
 
 struct ScenarioRun {
   std::vector<telemetry::Span> spans;
-  serve::VirtualReport report;
+  fleet::VirtualFleetReport report;
   LoopStats stats;
   LoopState final_state = LoopState::kSteady;
   uint32_t deployed = 0;
 };
 
-/// Drives `n` requests through a VirtualServer at dt=0.01 with the loop
-/// attached as version router, feeding every served response back into the
-/// loop as a LoopSample whose truth follows `truth_slope_at(id)`. The
-/// loop's spans (not the server's) are the golden surface: the scenario's
-/// causal story is the episode tree.
+/// Drives `n` requests through a one-replica VirtualFleet at dt=0.01 with
+/// the loop attached as version router, feeding every served response back
+/// into the loop as a LoopSample whose truth follows `truth_slope_at(id)`.
+/// The loop's spans (not the server's) are the golden surface: the
+/// scenario's causal story is the episode tree.
 ScenarioRun RunScenario(size_t n, double (*truth_slope_at)(uint64_t),
                         double probation_seconds) {
   ml::ModelRegistry registry;
@@ -124,10 +124,13 @@ ScenarioRun RunScenario(size_t n, double (*truth_slope_at)(uint64_t),
   telemetry::Tracer tracer(23);
   loop.SetTracer(&tracer);
 
-  serve::VirtualOptions server_options;
+  fleet::VirtualFleetOptions server_options;
+  server_options.shards = 1;
+  server_options.replicas_per_shard = 1;
+  server_options.workers_per_replica = 4;
   server_options.core.batcher.max_batch_size = 4;
   server_options.core.batcher.max_linger_seconds = 0.005;
-  serve::VirtualServer server(server_options);
+  fleet::VirtualFleet server(server_options);
   server.RegisterBackend("m", &backend);
   server.SetRouter(&loop);
 
@@ -171,12 +174,9 @@ ScenarioRun RunScenario(size_t n, double (*truth_slope_at)(uint64_t),
 
 void CheckAccounting(const ScenarioRun& run, size_t n) {
   // accepted == served + shed: nothing vanishes while the loop flights.
-  EXPECT_EQ(run.report.counters.accepted, run.report.counters.Finished());
-  EXPECT_EQ(run.report.counters.submitted, static_cast<uint64_t>(n));
-  const double availability =
-      static_cast<double>(run.report.counters.served) /
-      static_cast<double>(run.report.counters.accepted);
-  EXPECT_GE(availability, kAvailabilityFloor);
+  EXPECT_EQ(run.report.fleet.accepted, run.report.fleet.Finished());
+  EXPECT_EQ(run.report.fleet.submitted, static_cast<uint64_t>(n));
+  EXPECT_GE(run.report.availability, kAvailabilityFloor);
 }
 
 // --------------------------------------------------------------------
@@ -192,7 +192,7 @@ TEST(AutonomyGoldenTest, PromoteEpisodeEndToEnd) {
   // time, synchronous trainer.
   EXPECT_EQ(telemetry::SerializeSpans(first.spans),
             telemetry::SerializeSpans(second.spans));
-  EXPECT_EQ(first.report.counters.served, second.report.counters.served);
+  EXPECT_EQ(first.report.fleet.served, second.report.fleet.served);
 
   CheckAccounting(first, 250);
   EXPECT_EQ(first.stats.episodes, 1u);

@@ -25,10 +25,10 @@
 #include "autonomy/serving.h"
 #include "engine/executor.h"
 #include "engine/stage_graph.h"
+#include "fleet/virtual_fleet.h"
 #include "ml/linear.h"
 #include "ml/registry.h"
 #include "serve/types.h"
-#include "serve/virtual_server.h"
 #include "telemetry/span.h"
 #include "telemetry/span_analysis.h"
 
@@ -159,7 +159,7 @@ TEST(GoldenTraceTest, EngineSingleMachineDeath) {
 }
 
 // --------------------------------------------------------------------
-// Scenario 3: VirtualServer under overload with shedding.
+// Scenario 3: a one-replica VirtualFleet under overload with shedding.
 // --------------------------------------------------------------------
 
 std::string BlobWithSlope(double slope) {
@@ -168,7 +168,8 @@ std::string BlobWithSlope(double slope) {
   return m.Serialize();
 }
 
-std::vector<telemetry::Span> RunOverloadedServer(serve::VirtualReport* report) {
+std::vector<telemetry::Span> RunOverloadedServer(
+    fleet::VirtualFleetReport* report) {
   ml::ModelRegistry registry;
   registry.Register("m", BlobWithSlope(2.0));
   EXPECT_TRUE(registry.Deploy("m", 1).ok());
@@ -176,11 +177,13 @@ std::vector<telemetry::Span> RunOverloadedServer(serve::VirtualReport* report) {
       &registry, "m",
       [](const std::vector<double>& f) { return f.empty() ? 0.0 : f[0]; },
       autonomy::ServingOptions());
-  serve::VirtualOptions options;
+  fleet::VirtualFleetOptions options;
+  options.shards = 1;
+  options.replicas_per_shard = 1;
+  options.workers_per_replica = 1;
   options.core.queue_capacity = 4;  // overload: forces sheds/rejects
   options.core.batcher = {.max_batch_size = 2, .max_linger_seconds = 0.004};
-  options.workers = 1;
-  serve::VirtualServer server(options);
+  fleet::VirtualFleet server(options);
   server.RegisterBackend("m", &backend);
   telemetry::Tracer tracer(17);
   server.SetTracer(&tracer);
@@ -198,21 +201,19 @@ std::vector<telemetry::Span> RunOverloadedServer(serve::VirtualReport* report) {
     server.SubmitAt(0.0005 * static_cast<double>(i), std::move(r));
   }
   *report = server.Run();
-  EXPECT_GT(report->counters.served, 0u);
-  EXPECT_GT(report->counters.shed_capacity + report->counters.shed_deadline +
-                report->counters.Rejected(),
-            0u);
+  EXPECT_GT(report->fleet.served, 0u);
+  EXPECT_GT(report->fleet.Shed() + report->fleet.Rejected(), 0u);
   EXPECT_EQ(tracer.open_count(), 0u);  // graceful drain closes every span
   return tracer.Snapshot();
 }
 
-TEST(GoldenTraceTest, VirtualServerOverloadSheds) {
-  serve::VirtualReport r1, r2;
+TEST(GoldenTraceTest, OneReplicaFleetOverloadSheds) {
+  fleet::VirtualFleetReport r1, r2;
   std::vector<telemetry::Span> first = RunOverloadedServer(&r1);
   std::vector<telemetry::Span> second = RunOverloadedServer(&r2);
   EXPECT_EQ(telemetry::SerializeSpans(first),
             telemetry::SerializeSpans(second));
-  EXPECT_EQ(r1.counters.served, r2.counters.served);
+  EXPECT_EQ(r1.fleet.served, r2.fleet.served);
   CheckGolden("serve_overload_shed.txt",
               telemetry::CanonicalStructure(first));
 }

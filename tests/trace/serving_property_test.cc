@@ -1,8 +1,8 @@
 // Property test: for random seeded request streams through a traced
-// VirtualServer, the span table must tell a complete, consistent story —
-// every served request rides exactly one batch, every accepted request
-// reaches exactly one terminal outcome, and the trace-derived counts
-// reconcile with the runtime's own counters.
+// one-replica VirtualFleet, the span table must tell a complete,
+// consistent story — every served request rides exactly one batch, every
+// accepted request reaches exactly one terminal outcome, and the
+// trace-derived counts reconcile with the fleet's ledger.
 
 #include <gtest/gtest.h>
 
@@ -16,13 +16,13 @@
 
 #include "autonomy/serving.h"
 #include "common/rng.h"
+#include "fleet/virtual_fleet.h"
 #include "ml/linear.h"
 #include "ml/registry.h"
 #include "serve/types.h"
-#include "serve/virtual_server.h"
 #include "telemetry/span.h"
 
-namespace ads::serve {
+namespace ads::fleet {
 namespace {
 
 std::string BlobWithSlope(double slope) {
@@ -101,13 +101,15 @@ TEST(ServingTraceProperty, RandomStreamsReconcile) {
         [](const std::vector<double>& f) { return f.empty() ? 0.0 : f[0]; },
         autonomy::ServingOptions());
 
-    VirtualOptions options;
+    VirtualFleetOptions options;
+    options.shards = 1;
+    options.replicas_per_shard = 1;
     options.core.queue_capacity = static_cast<size_t>(rng.UniformInt(4, 24));
     options.core.batcher = {
         .max_batch_size = static_cast<size_t>(rng.UniformInt(1, 6)),
         .max_linger_seconds = rng.Uniform(0.0, 0.01)};
-    options.workers = static_cast<size_t>(rng.UniformInt(1, 3));
-    VirtualServer server(options);
+    options.workers_per_replica = static_cast<size_t>(rng.UniformInt(1, 3));
+    VirtualFleet server(options);
     server.RegisterBackend("m", &backend);
     telemetry::Tracer tracer(trial);
     server.SetTracer(&tracer);
@@ -115,7 +117,7 @@ TEST(ServingTraceProperty, RandomStreamsReconcile) {
     double t = 0.0;
     for (uint64_t i = 0; i < n; ++i) {
       t += rng.Exponential(/*rate=*/600.0);  // bursty ~600 rps offered
-      Request r;
+      serve::Request r;
       r.id = i;
       r.model = "m";
       r.tenant = "t";
@@ -126,7 +128,7 @@ TEST(ServingTraceProperty, RandomStreamsReconcile) {
                        : std::numeric_limits<double>::infinity();
       server.SubmitAt(t, std::move(r));
     }
-    VirtualReport report = server.Run();
+    VirtualFleetReport report = server.Run();
     ASSERT_EQ(tracer.open_count(), 0u);  // graceful drain: no dangling spans
 
     TraceStory story = Reconstruct(tracer.Snapshot());
@@ -153,12 +155,11 @@ TEST(ServingTraceProperty, RandomStreamsReconcile) {
       }
     }
 
-    // The trace reconciles with the runtime's counters...
-    EXPECT_EQ(accepted, report.counters.accepted);
-    EXPECT_EQ(served, report.counters.served);
-    EXPECT_EQ(shed, report.counters.shed_capacity +
-                        report.counters.shed_deadline);
-    EXPECT_EQ(rejected, report.counters.Rejected());
+    // The trace reconciles with the ledger's counters...
+    EXPECT_EQ(accepted, report.fleet.accepted);
+    EXPECT_EQ(served, report.fleet.served);
+    EXPECT_EQ(shed, report.fleet.Shed());
+    EXPECT_EQ(rejected, report.fleet.Rejected());
     // ...and accepted requests split exactly into served + shed.
     EXPECT_EQ(accepted, served + shed);
 
@@ -185,4 +186,4 @@ TEST(ServingTraceProperty, RandomStreamsReconcile) {
 }
 
 }  // namespace
-}  // namespace ads::serve
+}  // namespace ads::fleet
