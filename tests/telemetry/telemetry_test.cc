@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "telemetry/metric.h"
-#include "telemetry/semantic.h"
 #include "telemetry/store.h"
 
 namespace ads::telemetry {
@@ -78,32 +77,6 @@ TEST(StoreTest, SelectMatchesLabelSubset) {
   auto all = store.Select("cpu", {});
   EXPECT_EQ(all.size(), 3u);
   EXPECT_EQ(store.sample_count(), 4u);
-}
-
-TEST(SemanticTest, DefaultCatalogResolvesOsCounters) {
-  SemanticCatalog cat = SemanticCatalog::Default();
-  auto win = cat.Resolve("windows", "\\Processor(_Total)\\% Processor Time");
-  auto lin = cat.Resolve("linux", "node_cpu_seconds_total");
-  ASSERT_TRUE(win.ok());
-  ASSERT_TRUE(lin.ok());
-  // The paper's point: same meaning despite different native names.
-  EXPECT_EQ(*win, *lin);
-  EXPECT_EQ(*win, "system.cpu.utilization");
-}
-
-TEST(SemanticTest, UnknownNativeNameFails) {
-  SemanticCatalog cat = SemanticCatalog::Default();
-  EXPECT_FALSE(cat.Resolve("windows", "\\Bogus\\Counter").ok());
-}
-
-TEST(SemanticTest, MapRequiresDefinedCanonical) {
-  SemanticCatalog cat;
-  EXPECT_FALSE(cat.MapNative("linux", "x", "undefined.metric").ok());
-  cat.DefineCanonical("custom.metric", "widgets");
-  EXPECT_TRUE(cat.MapNative("linux", "x", "custom.metric").ok());
-  auto unit = cat.UnitOf("custom.metric");
-  ASSERT_TRUE(unit.ok());
-  EXPECT_EQ(*unit, "widgets");
 }
 
 }  // namespace
