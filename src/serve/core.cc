@@ -21,14 +21,13 @@ BatcherOptions EffectiveBatcher(const CoreOptions& options) {
 ServingCore::ServingCore(CoreOptions options)
     : options_(options), limiter_(options.rate_limit) {}
 
-MicroBatcher& ServingCore::BatcherFor(const std::string& model,
+MicroBatcher& ServingCore::BatcherFor(std::string_view model,
                                       uint32_t version) {
-  BatcherKey key(model, version);
-  auto it = batchers_.find(key);
-  if (it == batchers_.end()) {
-    it = batchers_
-             .emplace(std::move(key), MicroBatcher(EffectiveBatcher(options_)))
-             .first;
+  const BatcherKeyLess::Probe probe(model, version);
+  auto it = batchers_.lower_bound(probe);
+  if (it == batchers_.end() || batchers_.key_comp()(probe, it->first)) {
+    it = batchers_.emplace_hint(it, BatcherKey(std::string(model), version),
+                                MicroBatcher(EffectiveBatcher(options_)));
   }
   return it->second;
 }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -117,7 +118,20 @@ class ServingCore {
   /// queued. Key order (model name, then version ascending) keeps dispatch
   /// deterministic.
   using BatcherKey = std::pair<std::string, uint32_t>;
-  MicroBatcher& BatcherFor(const std::string& model, uint32_t version);
+  /// Orders keys exactly as std::pair would, and also compares them with
+  /// a (string_view, version) probe, so finding a batcher copies no name.
+  struct BatcherKeyLess {
+    using is_transparent = void;
+    using Probe = std::pair<std::string_view, uint32_t>;
+    static Probe View(const BatcherKey& key) { return {key.first, key.second}; }
+    static Probe View(const Probe& probe) { return probe; }
+    template <typename L, typename R>
+    bool operator()(const L& l, const R& r) const {
+      return View(l) < View(r);
+    }
+  };
+  /// The model name is copied only when its batcher is created.
+  MicroBatcher& BatcherFor(std::string_view model, uint32_t version);
   /// Opens the batch span for a just-taken batch and back-links members.
   void TraceBatch(Batch* batch, double now);
 
@@ -125,7 +139,7 @@ class ServingCore {
   TenantRateLimiter limiter_;
   telemetry::Tracer* tracer_ = nullptr;
   uint64_t next_batch_seq_ = 0;
-  std::map<BatcherKey, MicroBatcher> batchers_;
+  std::map<BatcherKey, MicroBatcher, BatcherKeyLess> batchers_;
   size_t queued_ = 0;
   Counters counters_;
 };

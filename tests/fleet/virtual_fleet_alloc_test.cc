@@ -10,7 +10,10 @@
 // Bounds, over 20,000 seeded arrivals: at most 0.1 allocations per request
 // with hedging off. With hedging on, a flight whose hedge fired has handed
 // its copy's feature buffer away, so the next request that reuses it
-// allocates one; the bound there is one per request.
+// allocates one; the bound there is one per request. Each case runs twice:
+// with the model named "m", and with a name too long for std::string's
+// inline buffer, so that a per-request copy of the name (a batcher lookup
+// building a std::string key, say) allocates and fails the bound.
 
 #include <atomic>
 #include <cstdio>
@@ -128,15 +131,17 @@ std::string BlobWithSlope(double slope) {
   return model.Serialize();
 }
 
+const char* const kModelNames[] = {"m", "a-model-name-longer-than-sso"};
+
 struct Backend {
-  Backend()
-      : server(&registry, "m",
+  explicit Backend(const std::string& model)
+      : server(&registry, model,
                [](const std::vector<double>& f) {
                  return f.empty() ? 0.0 : f[0];
                },
                autonomy::ServingOptions()) {
-    registry.Register("m", BlobWithSlope(2.0));
-    EXPECT_TRUE(registry.Deploy("m", 1).ok());
+    registry.Register(model, BlobWithSlope(2.0));
+    EXPECT_TRUE(registry.Deploy(model, 1).ok());
   }
   ml::ModelRegistry registry;
   autonomy::ResilientModelServer server;
@@ -151,8 +156,8 @@ struct RunResult {
 /// 4 shards x 2 replicas x 2 workers, queue 64, batch 8, linger 2 ms,
 /// service 2 ms + 0.5 ms per item, fed `requests` seeded arrivals at
 /// kRate, every one submitted before Run(). Counts allocations in Run().
-RunResult RunFleet(size_t requests, bool hedging) {
-  Backend backend;
+RunResult RunFleet(size_t requests, bool hedging, const std::string& model) {
+  Backend backend(model);
   VirtualFleetOptions options;
   options.shards = 4;
   options.replicas_per_shard = 2;
@@ -164,7 +169,7 @@ RunResult RunFleet(size_t requests, bool hedging) {
   options.service.per_item_seconds = 0.0005;
   options.hedge.enabled = hedging;
   VirtualFleet fleet(options);
-  fleet.RegisterBackend("m", &backend.server);
+  fleet.RegisterBackend(model, &backend.server);
   RunResult result;
   fleet.SetResponseCallback(
       [&result](const serve::Response&) { ++result.responses; });
@@ -175,7 +180,7 @@ RunResult RunFleet(size_t requests, bool hedging) {
     t += rng.Exponential(kRate);
     serve::Request request;
     request.id = id;
-    request.model = "m";
+    request.model = model;
     request.tenant = "tenant-" + std::to_string(rng.UniformInt(0, 49));
     request.features = {rng.Uniform(0.0, 4.0)};
     request.deadline = t + kDeadline;
@@ -192,32 +197,40 @@ RunResult RunFleet(size_t requests, bool hedging) {
 
 TEST(VirtualFleetAllocTest, UnhedgedRunAllocatesNothingPerRequest) {
   constexpr size_t kRequests = 20000;
-  const RunResult run = RunFleet(kRequests, /*hedging=*/false);
-  EXPECT_EQ(run.report.fleet.submitted, kRequests);
-  EXPECT_EQ(run.responses, kRequests);
-  EXPECT_GT(run.report.fleet.served, kRequests * 9 / 10);
-  const double per_request =
-      static_cast<double>(run.allocations) / static_cast<double>(kRequests);
-  std::printf("hedging off: %zu allocations in Run(), %.4f per request\n",
-              run.allocations, per_request);
-  EXPECT_LE(per_request, 0.1);
+  for (const char* model : kModelNames) {
+    SCOPED_TRACE(model);
+    const RunResult run = RunFleet(kRequests, /*hedging=*/false, model);
+    EXPECT_EQ(run.report.fleet.submitted, kRequests);
+    EXPECT_EQ(run.responses, kRequests);
+    EXPECT_GT(run.report.fleet.served, kRequests * 9 / 10);
+    const double per_request =
+        static_cast<double>(run.allocations) / static_cast<double>(kRequests);
+    std::printf("model \"%s\", hedging off: %zu allocations in Run(), "
+                "%.4f per request\n",
+                model, run.allocations, per_request);
+    EXPECT_LE(per_request, 0.1);
+  }
 }
 
 TEST(VirtualFleetAllocTest, HedgedRunAllocatesAtMostOncePerRequest) {
   // Short: until the hedge quantile is incremental, every accepted request
   // re-sorts all served latencies.
   constexpr size_t kRequests = 2000;
-  const RunResult run = RunFleet(kRequests, /*hedging=*/true);
-  EXPECT_EQ(run.report.fleet.submitted, kRequests);
-  EXPECT_EQ(run.responses, kRequests);
-  EXPECT_GT(run.report.fleet.hedges_fired, 0u);
-  const double per_request =
-      static_cast<double>(run.allocations) / static_cast<double>(kRequests);
-  std::printf("hedging on: %zu allocations in Run(), %.4f per request, "
-              "%llu hedges fired\n",
-              run.allocations, per_request,
-              static_cast<unsigned long long>(run.report.fleet.hedges_fired));
-  EXPECT_LE(per_request, 1.0);
+  for (const char* model : kModelNames) {
+    SCOPED_TRACE(model);
+    const RunResult run = RunFleet(kRequests, /*hedging=*/true, model);
+    EXPECT_EQ(run.report.fleet.submitted, kRequests);
+    EXPECT_EQ(run.responses, kRequests);
+    EXPECT_GT(run.report.fleet.hedges_fired, 0u);
+    const double per_request =
+        static_cast<double>(run.allocations) / static_cast<double>(kRequests);
+    std::printf(
+        "model \"%s\", hedging on: %zu allocations in Run(), %.4f per "
+        "request, %llu hedges fired\n",
+        model, run.allocations, per_request,
+        static_cast<unsigned long long>(run.report.fleet.hedges_fired));
+    EXPECT_LE(per_request, 1.0);
+  }
 }
 
 }  // namespace
