@@ -56,7 +56,7 @@ TEST(EstimatorTest, AggregateCapsAtKeyNdv) {
   Catalog catalog = TestCatalog();
   DefaultCardinalityEstimator est(&catalog);
   auto plan = MakeAggregate(MakeScan(*catalog.FindTable("orders")),
-                            {{"o_status"}, 0.001});
+                            {{"o_status"}, 0.001, {}});
   est.Annotate(*plan);
   EXPECT_DOUBLE_EQ(plan->est_card, 10.0);  // ndv of o_status
 }

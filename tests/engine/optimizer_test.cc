@@ -27,7 +27,7 @@ std::unique_ptr<PlanNode> MessyPlan(const Catalog& catalog) {
   Predicate p1{"o_price", CompareOp::kLessEqual, 100.0, 0.3};
   Predicate p2{"c_region", CompareOp::kEqual, 7.0, 0.02};
   auto filtered = MakeFilter(std::move(joined), {p1, p2});
-  return MakeAggregate(std::move(filtered), {{"c_region"}, 0.001});
+  return MakeAggregate(std::move(filtered), {{"c_region"}, 0.001, {}});
 }
 
 TEST_F(OptimizerTest, OptimizedPlanIsCheaper) {

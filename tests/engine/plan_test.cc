@@ -72,7 +72,7 @@ TEST(PlanTest, SignatureDistinguishesStructure) {
   auto scan2 = MakeScan(*catalog.FindTable("customers"));
   EXPECT_NE(scan1->StrictSignature(), scan2->StrictSignature());
   auto agg = MakeAggregate(MakeScan(*catalog.FindTable("orders")),
-                           {{"o_status"}, 0.1});
+                           {{"o_status"}, 0.1, {}});
   EXPECT_NE(scan1->StrictSignature(), agg->StrictSignature());
 }
 

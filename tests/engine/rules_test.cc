@@ -104,7 +104,7 @@ TEST_F(RulesTest, FilterPushdownAggregateOnlyForGroupKeys) {
   Predicate not_key{"o_price", CompareOp::kLessEqual, 10.0, 0.05};
   auto plan = MakeFilter(
       MakeAggregate(MakeScan(*catalog_.FindTable("orders")),
-                    {{"o_status"}, 0.00001}),
+                    {{"o_status"}, 0.00001, {}}),
       {on_key, not_key});
   bool changed = false;
   plan = Apply(RuleId::kFilterPushdownAggregate, std::move(plan), &changed);
@@ -177,7 +177,7 @@ TEST_F(RulesTest, ProjectIntoScanNarrowsScan) {
 TEST_F(RulesTest, SortEliminationUnderAggregate) {
   auto plan = MakeAggregate(
       MakeSort(MakeScan(*catalog_.FindTable("orders")), {"o_key"}),
-      {{"o_status"}, 0.1});
+      {{"o_status"}, 0.1, {}});
   bool changed = false;
   plan = Apply(RuleId::kSortElimination, std::move(plan), &changed);
   EXPECT_TRUE(changed);
@@ -253,7 +253,7 @@ TEST_F(RulesTest, EagerAggregationInsertsPartialAgg) {
   auto plan = MakeAggregate(
       MakeJoin(MakeScan(*catalog_.FindTable("orders")),
                MakeScan(*catalog_.FindTable("customers")), join),
-      {{"o_status"}, 0.01});
+      {{"o_status"}, 0.01, {}});
   bool changed = false;
   plan = Apply(RuleId::kEagerAggregation, std::move(plan), &changed);
   EXPECT_TRUE(changed);
