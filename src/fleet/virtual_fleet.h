@@ -78,8 +78,7 @@ struct VirtualFleetReport {
 /// deterministic service-time model, so for a fixed seed the report and
 /// span table are byte-identical across runs and ADS_THREADS values.
 /// With shards = 1, replicas_per_shard = 1 and hedging off it is the
-/// virtual twin of one ServingRuntime, which is how the serving benches,
-/// the flight-chaos and autonomy benches and the serving goldens run.
+/// virtual twin of one ServingRuntime.
 ///
 /// Requests expired at *dispatch* time are shed; once a batch is in
 /// flight its requests are served even if their deadline passes
